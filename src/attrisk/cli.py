@@ -13,6 +13,7 @@ All report output goes to stdout (or --out); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from importlib import resources
@@ -90,12 +91,22 @@ def cmd_attribute(args) -> int:
     return 0
 
 
+def _flag_scalar(value: float, sd: float, sd_flag: str, units: str) -> UncertainScalar:
+    if not (math.isfinite(sd) and sd >= 0):
+        raise ScenarioError(f"{sd_flag} must be finite and >= 0, got {sd}")
+    if sd == 0:
+        return UncertainScalar.point(value, units)
+    return UncertainScalar.normal(value, sd, units)
+
+
 def cmd_propagate(args) -> int:
-    seed = args.seed if args.seed is not None else (_env_default_seed() or DEFAULT_SEED)
-    beta = (UncertainScalar.normal(args.beta, args.beta_sd, "percent-per-sigma")
-            if args.beta_sd > 0 else UncertainScalar.point(args.beta, "percent-per-sigma"))
-    dprime = (UncertainScalar.normal(args.dprime, args.dprime_sd, "sigma")
-              if args.dprime_sd > 0 else UncertainScalar.point(args.dprime, "sigma"))
+    seed = args.seed
+    if seed is None:
+        seed = _env_default_seed()
+    if seed is None:
+        seed = DEFAULT_SEED
+    beta = _flag_scalar(args.beta, args.beta_sd, "--beta-sd", "percent-per-sigma")
+    dprime = _flag_scalar(args.dprime, args.dprime_sd, "--dprime-sd", "sigma")
     dist = propagate_attribution(beta, dprime, seed, args.samples)
     s = summarize(dist)
     p = tail_probability(dist, 0.0, TailDirection.AT_OR_BELOW)

@@ -201,20 +201,29 @@ def propagate_attribution(beta: UncertainScalar, dprime: UncertainScalar,
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    beta_draws = sample(beta, RandomStream(seed, BETA_STREAM), n)
-    dprime_draws = sample(dprime, RandomStream(seed, DPRIME_STREAM), n)
-    return EmpiricalDistribution.from_samples(beta_draws * dprime_draws, seed, units="percent")
+    return product_distribution(beta, sample(dprime, RandomStream(seed, DPRIME_STREAM), n), seed)
 
 
-def anthropogenic_exceedance_fraction(dprime: UncertainScalar, total: float,
-                                      seed: int, n: int) -> float:
+def product_distribution(beta: UncertainScalar, dprime_draws: np.ndarray,
+                         seed: int) -> EmpiricalDistribution:
+    """Distribution of beta_i * D'_i for D' draws already taken from the
+    DPRIME_STREAM substream; beta is drawn from the BETA_STREAM substream.
+
+    The product is formed and sorted in the beta buffer; dprime_draws is left
+    unchanged.
+    """
+    product = sample(beta, RandomStream(seed, BETA_STREAM), dprime_draws.size)
+    product *= dprime_draws
+    return EmpiricalDistribution._from_owned(product, seed, units="percent")
+
+
+def anthropogenic_exceedance_fraction(dprime_draws: np.ndarray, total: float) -> float:
     """Fraction of D' draws exceeding the total anomaly (negative-D0 draws).
 
-    Reuses the propagation stream, so the fraction refers to the exact draws
-    used by propagate_attribution under the same (seed, n).
+    Takes the D' draws a run propagates rather than drawing its own, so the
+    fraction refers to exactly the draws behind the reported distribution.
     """
-    draws = sample(dprime, RandomStream(seed, DPRIME_STREAM), n)
-    return float(np.mean(draws > total))
+    return np.count_nonzero(dprime_draws > total) / dprime_draws.size
 
 
 def analytic_product_moments(a: UncertainScalar, b: UncertainScalar) -> tuple[float, float]:

@@ -26,7 +26,7 @@ from .engine import (
     decompose_anomaly,
     integral_attribution,
     linear_attribution,
-    propagate_attribution,
+    product_distribution,
 )
 from .uq import (
     BoxWhiskerSummary,
@@ -282,32 +282,40 @@ class ReportBundle:
     provenance: dict = field(hash=False)
 
 
-def _surface_propagation(cfg: ScenarioConfig, decomp) -> EmpiricalDistribution:
+def _surface_propagation(cfg: ScenarioConfig, decomp, draws) -> EmpiricalDistribution:
     # Uncertainty enters only through D'; each draw is mapped through the
-    # surface (extrapolating linearly beyond the knots via the cubic pieces).
+    # surface at D0 + D'. Beyond the knots PCHIP continues its end cubic
+    # pieces (extrapolate=True), which is not a linear continuation.
+    # The D' draws are consumed: D0 is added to them in place.
     rr = cfg.dose_response.interpolant(extrapolate=True)
-    draws = sample(cfg.anthropogenic, RandomStream(cfg.seed, DPRIME_STREAM), cfg.samples)
-    excess = 100.0 * (rr(decomp.natural + draws) - float(rr(decomp.natural)))
-    return EmpiricalDistribution.from_samples(excess, cfg.seed, units="percent")
+    draws += decomp.natural
+    excess = rr(draws)
+    excess -= float(rr(decomp.natural))
+    excess *= 100.0
+    return EmpiricalDistribution._from_owned(excess, cfg.seed, units="percent")
 
 
 def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
-    """Run the full attribution pipeline for a validated config."""
+    """Run the full attribution pipeline for a validated config.
+
+    D' is drawn once; the exceedance fraction and the propagated distribution
+    both come from that one array.
+    """
     try:
         decomp = decompose_anomaly(cfg.anomaly_total, cfg.anthropogenic)
+        draws = sample(cfg.anthropogenic, RandomStream(cfg.seed, DPRIME_STREAM), cfg.samples)
+        exceedance = anthropogenic_exceedance_fraction(draws, cfg.anomaly_total)
         if cfg.dose_response.kind is ResponseKind.LINEAR:
             beta = cfg.dose_response.beta
             attribution = linear_attribution(beta.value, decomp)
-            dist = propagate_attribution(beta, cfg.anthropogenic, cfg.seed, cfg.samples)
+            dist = product_distribution(beta, draws, cfg.seed)
         else:
             attribution = integral_attribution(cfg.dose_response, decomp)
-            dist = _surface_propagation(cfg, decomp)
+            dist = _surface_propagation(cfg, decomp, draws)
         summary = summarize(dist)
         p_value = tail_probability(dist, cfg.null_threshold, TailDirection.AT_OR_BELOW)
         hist = tuple(histogram(dist, cfg.histogram_bins))
         quantile_rows = tuple((q, percentile(dist, q)) for q in cfg.quantiles)
-        exceedance = anthropogenic_exceedance_fraction(
-            cfg.anthropogenic, cfg.anomaly_total, cfg.seed, cfg.samples)
         provenance = {
             "seed": cfg.seed,
             "samples": cfg.samples,

@@ -2,14 +2,19 @@
 
 Sampling is built on the Philox counter-based bit generator so that the i-th
 draw of a stream is a pure function of (seed, stream label, i): draws are
-produced in fixed-size chunks, each chunk keyed independently. Serial and
-chunk-parallel execution therefore yield bit-identical sequences, and the
-first n draws do not depend on how many more are requested later.
+produced in fixed-size chunks, each chunk keyed independently. A request of
+more than one chunk fills its chunks in place on a shared thread pool (numpy
+releases the interpreter lock while it draws); the result is bit-identical to
+filling them one after another, and the first n draws do not depend on how
+many more are requested later.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,6 +23,29 @@ from numpy.random import Generator, Philox, SeedSequence
 
 #: Draws per independently-keyed chunk. Fixed: changing it changes streams.
 CHUNK_SIZE = 1 << 16
+
+_pool_lock = threading.Lock()
+_pool_executor: ThreadPoolExecutor | None = None
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The process-wide chunk-filling pool, one worker per usable CPU."""
+    global _pool_executor
+    with _pool_lock:
+        if _pool_executor is None:
+            _pool_executor = ThreadPoolExecutor(
+                max_workers=len(os.sched_getaffinity(0)), thread_name_prefix="attrisk-philox")
+        return _pool_executor
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the executor but none of its threads.
+    global _pool_executor, _pool_lock
+    _pool_executor = None
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 class Family(Enum):
@@ -71,21 +99,34 @@ class RandomStream:
         if n < 1:
             raise ValueError("n must be >= 1")
         out = np.empty(n)
-        for chunk_index in range(0, (n + CHUNK_SIZE - 1) // CHUNK_SIZE):
-            start = chunk_index * CHUNK_SIZE
-            count = min(CHUNK_SIZE, n - start)
-            gen = Generator(Philox(SeedSequence(self.seed, spawn_key=(self.label, chunk_index))))
-            out[start:start + count] = gen.standard_normal(count)
+        # Generators are keyed here, on the calling thread; workers only fill.
+        gens = [Generator(Philox(SeedSequence(self.seed, spawn_key=(self.label, i))))
+                for i in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE)]
+
+        def fill(i: int) -> None:
+            gens[i].standard_normal(out=out[i * CHUNK_SIZE:(i + 1) * CHUNK_SIZE])
+
+        if len(gens) == 1:
+            fill(0)
+        else:
+            for _ in _pool().map(fill, range(len(gens))):
+                pass  # reading each result re-raises a worker's exception
         return out
 
 
 def sample(q: UncertainScalar, stream: RandomStream, n: int) -> np.ndarray:
-    """Draw n values of q. Point quantities return the value exactly, n times."""
+    """Draw n values of q into a new array the caller owns.
+
+    Point quantities return the value exactly, n times.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if q.family is Family.POINT:
         return np.full(n, q.value)
-    return q.value + q.dispersion * stream.standard_normal(n)
+    out = stream.standard_normal(n)
+    out *= q.dispersion
+    out += q.value
+    return out
 
 
 @dataclass(frozen=True)
@@ -98,12 +139,16 @@ class EmpiricalDistribution:
 
     @classmethod
     def from_samples(cls, samples, seed: int, units: str = "") -> "EmpiricalDistribution":
-        arr = np.asarray(samples, dtype=float)
+        return cls._from_owned(np.array(samples, dtype=float), seed, units)
+
+    @classmethod
+    def _from_owned(cls, arr: np.ndarray, seed: int, units: str = "") -> "EmpiricalDistribution":
+        """Finalize a float array no one else holds: sorted in place, then frozen."""
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("need at least 2 samples")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
-        arr = np.sort(arr)
+        arr.sort()
         arr.flags.writeable = False
         return cls(arr, seed, units)
 
@@ -190,5 +235,9 @@ def histogram(d: EmpiricalDistribution, bin_count: int) -> list[tuple[float, flo
     hi = float(d.samples[-1])
     if lo == hi:
         return [(lo, hi, d.sample_count)]
-    counts, edges = np.histogram(d.samples, bins=bin_count, range=(lo, hi))
+    # np.histogram's edges and half-open bins, counted on the sorted samples.
+    edges = np.linspace(lo, hi, bin_count + 1)
+    cuts = np.concatenate(([0], np.searchsorted(d.samples, edges[1:-1], side="left"),
+                           [d.sample_count]))
+    counts = np.diff(cuts)
     return [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(bin_count)]

@@ -114,6 +114,22 @@ class TestPropagate:
     def test_missing_flag_is_usage_error(self, capsys):
         assert run(capsys, "propagate", "--beta", "3.54")[0] == 2
 
+    def test_env_seed_zero_is_used(self, capsys, monkeypatch):
+        monkeypatch.setenv("ATTRISK_SEED", "0")
+        code, out, _ = run(capsys, "propagate", "--beta", "3.54", "--beta-sd", "1.2",
+                           "--dprime", "1.08", "--samples", "100")
+        assert code == 0
+        assert out.splitlines()[0].endswith("seed: 0")
+
+    @pytest.mark.parametrize("flag", ["--beta-sd", "--dprime-sd"])
+    @pytest.mark.parametrize("value", ["-1.2", "nan", "inf"])
+    def test_bad_dispersion_is_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "propagate", "--beta", "3.54", "--dprime", "1.08",
+                             "--samples", "100", f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
 
 class TestSelftest:
     def test_default_build_passes(self, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from attrisk.engine import (
+    DPRIME_STREAM,
     DomainCoverageError,
     DoseResponse,
     SignConventionError,
@@ -15,7 +16,7 @@ from attrisk.engine import (
     linear_attribution,
     propagate_attribution,
 )
-from attrisk.uq import UncertainScalar
+from attrisk.uq import RandomStream, UncertainScalar, sample
 
 SEED = 20150302
 
@@ -178,7 +179,8 @@ class TestPropagation:
         assert abs(d.variance - var) < 10 * var / math.sqrt(d.sample_count)
 
     def test_exceedance_fraction_matches_propagation_draws(self):
-        frac = anthropogenic_exceedance_fraction(DPRIME, 2.48, SEED, 1_000_000)
+        draws = sample(DPRIME, RandomStream(SEED, DPRIME_STREAM), 1_000_000)
+        frac = anthropogenic_exceedance_fraction(draws, 2.48)
         # P(N(1.08, 0.37) > 2.48) = 1 - Phi(1.4/0.37) ~ 7.7e-5
         oracle = 0.5 * math.erfc((2.48 - 1.08) / 0.37 / math.sqrt(2))
         assert abs(frac - oracle) < 5e-4

@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from attrisk.engine import analytic_product_moments, propagate_attribution
 from attrisk.uq import (
@@ -45,6 +45,31 @@ def test_summary_ordering(values):
 def test_histogram_counts_conserved(values, bins):
     d = dist(values)
     assert sum(count for _, _, count in histogram(d, bins)) == d.sample_count
+
+
+@st.composite
+def binned_samples(draw):
+    """Samples spanning [lo, hi] exactly, many on interior bin edges, many tied."""
+    bins = draw(st.integers(1, 200))
+    lo = draw(finite_floats)
+    hi = lo + draw(st.floats(1e-6, 1e6))
+    assume(hi > lo)
+    edges = np.linspace(lo, hi, bins + 1).tolist()
+    value = st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+    runs = draw(st.lists(st.tuples(value, st.integers(1, 40)), max_size=60))
+    samples = [lo, hi] + [v for v, repeat in runs for _ in range(repeat)]
+    return samples, bins
+
+
+@settings(max_examples=300, deadline=None)
+@given(binned_samples())
+def test_histogram_matches_numpy(case):
+    samples, bins = case
+    d = dist(samples)
+    counts, edges = np.histogram(d.samples, bins, range=(d.samples[0], d.samples[-1]))
+    got = histogram(d, bins)
+    assert [c for _, _, c in got] == counts.tolist()
+    assert [lo for lo, _, _ in got] + [got[-1][1]] == edges.tolist()
 
 
 @settings(max_examples=200, deadline=None)

@@ -15,6 +15,7 @@ from attrisk.scenario import (
     parse_scenario,
     run_scenario,
 )
+from attrisk.uq import CHUNK_SIZE, RandomStream
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SYRIA = SCENARIOS / "syria_2010.yaml"
@@ -154,6 +155,26 @@ class TestRunScenario:
         ))
         bundle = run_scenario(cfg)
         assert bundle.attribution.anthropogenic_excess == pytest.approx(3.8232, rel=1e-6)
+
+    @pytest.mark.parametrize("dose_response, draws_per_sample", [
+        ({"kind": "linear", "value": 3.54, "dispersion": 1.2}, 2),
+        ({"kind": "surface", "knots": [[0, 1.0], [2, 1.07], [4, 1.2]]}, 1),
+    ])
+    def test_each_input_drawn_once(self, monkeypatch, dose_response, draws_per_sample):
+        drawn = []
+        original = RandomStream.standard_normal
+
+        def counted(stream, n):
+            drawn.append((stream.label, n))
+            return original(stream, n)
+
+        monkeypatch.setattr(RandomStream, "standard_normal", counted)
+        n = 2 * CHUNK_SIZE + 3
+        run_scenario(parse_scenario(minimal(dose_response=dose_response,
+                                            mc={"samples": n})))
+        labels = [label for label, _ in drawn]
+        assert len(set(labels)) == len(labels)  # no stream is drawn twice
+        assert sum(count for _, count in drawn) == draws_per_sample * n
 
     def test_errors_carry_scenario_name(self):
         cfg = parse_scenario(minimal(

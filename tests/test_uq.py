@@ -1,8 +1,14 @@
 import math
+import multiprocessing
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 
+from attrisk import uq
 from attrisk.uq import (
     CHUNK_SIZE,
     BoxWhiskerSummary,
@@ -93,6 +99,80 @@ class TestSampling:
         assert not np.array_equal(a, b)
 
 
+def serial_chunks(seed, label, n, order=None):
+    """Reference: key and fill each chunk on this thread, in the given order."""
+    out = np.empty(n)
+    chunks = list(range((n + CHUNK_SIZE - 1) // CHUNK_SIZE))
+    for i in order(chunks) if order else chunks:
+        start = i * CHUNK_SIZE
+        count = min(CHUNK_SIZE, n - start)
+        gen = Generator(Philox(SeedSequence(seed, spawn_key=(label, i))))
+        out[start:start + count] = gen.standard_normal(count)
+    return out
+
+
+def _draw_in_child(n):
+    return RandomStream(7, 1).standard_normal(n).tobytes()
+
+
+class TestChunkParallel:
+    SIZES = [1, CHUNK_SIZE, CHUNK_SIZE + 1, 5 * CHUNK_SIZE + 17]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_pool_matches_serial_reference(self, n):
+        assert np.array_equal(RandomStream(SEED, 1).standard_normal(n),
+                              serial_chunks(SEED, 1, n))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_chunk_order_does_not_matter(self, n):
+        def shuffled(chunks):
+            random.Random(n).shuffle(chunks)
+            return chunks
+
+        assert np.array_equal(RandomStream(SEED, 2).standard_normal(n),
+                              serial_chunks(SEED, 2, n, order=shuffled))
+
+    def test_concurrent_callers_get_their_own_bits(self):
+        n = 5 * CHUNK_SIZE + 17
+        expected = {1: serial_chunks(SEED, 1, n), 2: serial_chunks(SEED, 2, n)}
+        mismatches = []
+
+        def draw(label):
+            for _ in range(5):
+                if not np.array_equal(RandomStream(SEED, label).standard_normal(n),
+                                      expected[label]):
+                    mismatches.append(label)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            others = [threading.Thread(target=draw, args=(2,)) for _ in range(3)]
+            for t in others:
+                t.start()
+            draw(1)
+            for t in others:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in others)
+        assert mismatches == []
+
+    def test_single_chunk_stays_on_calling_thread(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("a single chunk must not use the pool")
+
+        monkeypatch.setattr(uq, "_pool", no_pool)
+        assert np.array_equal(RandomStream(SEED, 1).standard_normal(CHUNK_SIZE),
+                              serial_chunks(SEED, 1, CHUNK_SIZE))
+
+    def test_forked_child_can_draw(self):
+        n = 2 * CHUNK_SIZE + 1
+        RandomStream(7, 1).standard_normal(n)  # the parent's pool now exists
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply_async(_draw_in_child, (n,)).get(timeout=60)
+        assert got == serial_chunks(7, 1, n).tobytes()
+
+
 class TestEmpiricalDistribution:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
@@ -106,6 +186,12 @@ class TestEmpiricalDistribution:
         d = dist([3, 1, 2])
         assert d.samples.tolist() == [1, 2, 3]
         assert d.sample_count == 3
+
+    def test_from_samples_leaves_caller_array_alone(self):
+        values = np.array([3.0, 1.0, 2.0])
+        d = dist(values)
+        assert values.tolist() == [3.0, 1.0, 2.0]
+        assert not d.samples.flags.writeable
 
 
 class TestPercentile:
