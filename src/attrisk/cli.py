@@ -91,7 +91,10 @@ def cmd_attribute(args) -> int:
     return 0
 
 
-def _flag_scalar(value: float, sd: float, sd_flag: str, units: str) -> UncertainScalar:
+def _flag_scalar(flag: str, value: float, sd: float, units: str) -> UncertainScalar:
+    if not math.isfinite(value):
+        raise ScenarioError(f"{flag} must be finite, got {value}")
+    sd_flag = f"{flag}-sd"
     if not (math.isfinite(sd) and sd >= 0):
         raise ScenarioError(f"{sd_flag} must be finite and >= 0, got {sd}")
     if sd == 0:
@@ -100,13 +103,18 @@ def _flag_scalar(value: float, sd: float, sd_flag: str, units: str) -> Uncertain
 
 
 def cmd_propagate(args) -> int:
-    seed = args.seed
+    # Every flag is checked before anything is drawn: bad input is a usage error.
+    seed, seed_source = args.seed, "--seed"
     if seed is None:
-        seed = _env_default_seed()
+        seed, seed_source = _env_default_seed(), ENV_SEED
     if seed is None:
         seed = DEFAULT_SEED
-    beta = _flag_scalar(args.beta, args.beta_sd, "--beta-sd", "percent-per-sigma")
-    dprime = _flag_scalar(args.dprime, args.dprime_sd, "--dprime-sd", "sigma")
+    if seed < 0:
+        raise ScenarioError(f"{seed_source} must be >= 0, got {seed}")
+    if args.samples < 2:
+        raise ScenarioError(f"--samples must be >= 2, got {args.samples}")
+    beta = _flag_scalar("--beta", args.beta, args.beta_sd, "percent-per-sigma")
+    dprime = _flag_scalar("--dprime", args.dprime, args.dprime_sd, "sigma")
     dist = propagate_attribution(beta, dprime, seed, args.samples)
     s = summarize(dist)
     p = tail_probability(dist, 0.0, TailDirection.AT_OR_BELOW)

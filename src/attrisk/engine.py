@@ -13,11 +13,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .uq import EmpiricalDistribution, Family, RandomStream, UncertainScalar, sample
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 # Stream labels deriving the two independent input streams from one seed.
 BETA_STREAM = 1
@@ -103,6 +106,10 @@ class DoseResponse:
     def interpolant(self, extrapolate: bool = False) -> PchipInterpolator:
         if self.kind is not ResponseKind.SURFACE:
             raise ValueError("interpolant is defined for surface dose-responses only")
+        # Imported here so that linear runs never load scipy (most of the
+        # CLI's cold start).
+        from scipy.interpolate import PchipInterpolator
+
         xs = np.array([d for d, _ in self.knots])
         ys = np.array([rr for _, rr in self.knots])
         return PchipInterpolator(xs, ys, extrapolate=extrapolate)

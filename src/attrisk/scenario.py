@@ -54,11 +54,17 @@ FORMATS = ("human", "csv", "json")
 
 
 class ScenarioError(ValueError):
-    """Configuration or execution error, carrying the offending field path."""
+    """Configuration error, or a run the configuration cannot support (e.g. a
+    surface that does not cover the anomaly), carrying the offending field path."""
 
     def __init__(self, message: str, field: str = ""):
         super().__init__(message)
         self.field = field
+
+
+class ScenarioRuntimeError(RuntimeError):
+    """A scenario failed while running (not a configuration error); the
+    original exception is its ``__cause__``."""
 
 
 class UnknownKeyError(ScenarioError):
@@ -330,8 +336,10 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
         )
     except ScenarioError:
         raise
-    except Exception as exc:
+    except ValueError as exc:  # e.g. DomainCoverageError: the config asks the impossible
         raise ScenarioError(f"scenario '{cfg.name}': {exc}") from exc
+    except Exception as exc:  # e.g. quadrature disagreement, MemoryError
+        raise ScenarioRuntimeError(f"scenario '{cfg.name}': {exc}") from exc
 
 
 def _sig12(x: float) -> float:

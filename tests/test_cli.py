@@ -1,12 +1,36 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import attrisk
+from attrisk import scenario
 from attrisk.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SYRIA = str(SCENARIOS / "syria_2010.yaml")
+TEMPERATURE = str(SCENARIOS / "syria_2010_temperature_illustrative.yaml")
+
+SURFACE_YAML = """\
+name: cli_surface
+year: 2010
+anomaly_total: 2.0
+anthropogenic: {value: 1.2, dispersion: 0.5}
+dose_response:
+  kind: surface
+  knots: [[0, 1], [1, 1.05], [2, 1.15], [3, 1.3], [5, 1.6]]
+mc: {samples: 20000}
+"""
+
+
+@pytest.fixture
+def surface_scenario(tmp_path):
+    path = tmp_path / "surface.yaml"
+    path.write_text(SURFACE_YAML)
+    return str(path)
 
 
 def run(capsys, *argv):
@@ -130,6 +154,29 @@ class TestPropagate:
         assert out == ""
         assert flag in err
 
+    @pytest.mark.parametrize("dispersions", [[], ["--beta-sd", "1.2", "--dprime-sd", "0.37"]],
+                             ids=["point", "normal"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "nan"), ("--beta", "inf"), ("--beta", "-inf"),
+        ("--dprime", "nan"), ("--dprime", "inf"),
+        ("--samples", "1"), ("--samples", "0"), ("--seed", "-1"),
+    ])
+    def test_bad_numeric_flag_is_usage_error(self, capsys, flag, value, dispersions):
+        argv = {"--beta": "3.54", "--dprime": "1.08", "--samples": "100", flag: value}
+        code, out, err = run(capsys, "propagate", *dispersions,
+                             *(f"{k}={v}" for k, v in argv.items()))
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+    def test_negative_env_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("ATTRISK_SEED", "-1")
+        code, out, err = run(capsys, "propagate", "--beta", "3.54", "--dprime", "1.08",
+                             "--samples", "100")
+        assert code == 2
+        assert out == ""
+        assert "ATTRISK_SEED" in err
+
 
 class TestSelftest:
     def test_default_build_passes(self, capsys):
@@ -146,3 +193,57 @@ class TestSelftest:
     def test_starved_sampling_fails(self, capsys):
         code, out, _ = run(capsys, "selftest", "--samples", "100")
         assert code == 1
+
+
+class TestRuntimeFailure:
+    def test_quadrature_disagreement_is_runtime_error(self, capsys, monkeypatch,
+                                                      surface_scenario):
+        def disagree(response, decomp):
+            raise ArithmeticError("quadrature and antiderivative-difference paths disagree")
+
+        monkeypatch.setattr(scenario, "integral_attribution", disagree)
+        code, out, err = run(capsys, "attribute", surface_scenario)
+        assert code == 1
+        assert out == ""
+        assert "cli_surface" in err and "disagree" in err
+
+    def test_uncovered_domain_stays_config_error(self, capsys, surface_scenario):
+        code, out, err = run(capsys, "attribute", surface_scenario,
+                             "--set", "dose_response.knots=[[0, 1], [1, 1.05]]")
+        assert code == 2
+        assert out == ""
+        assert "cli_surface" in err and "last surface knot" in err
+
+
+def run_fresh(*argv):
+    """Run ``main(argv)`` in a new interpreter; return (exit code, scipy loaded)."""
+    child = ("import sys, attrisk.cli\n"
+             "code = attrisk.cli.main(sys.argv[1:])\n"
+             "print('scipy loaded:', 'scipy' in sys.modules, file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    env = {k: v for k, v in os.environ.items() if k != "ATTRISK_SEED"}
+    src = str(Path(attrisk.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("scipy loaded: "), proc.stderr
+    return proc.returncode, last == "scipy loaded: True"
+
+
+class TestColdStart:
+    """scipy is imported only for surface dose-responses."""
+
+    @pytest.mark.parametrize("argv", [
+        ["attribute", SYRIA, "--samples", "20000"],
+        ["report", TEMPERATURE, "--format", "json", "--samples", "20000"],
+        ["propagate", "--beta", "3.54", "--dprime", "1.08", "--samples", "20000"],
+        ["propagate", "--beta", "3.54", "--beta-sd", "1.2", "--dprime", "1.08",
+         "--dprime-sd", "0.37", "--samples", "20000"],
+        ["selftest"],
+    ], ids=["attribute", "report", "propagate-point", "propagate-normal", "selftest"])
+    def test_linear_commands_never_load_scipy(self, argv):
+        assert run_fresh(*argv) == (0, False)
+
+    def test_surface_scenario_loads_scipy(self, surface_scenario):
+        assert run_fresh("attribute", surface_scenario) == (0, True)

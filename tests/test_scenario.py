@@ -3,11 +3,13 @@ from pathlib import Path
 
 import pytest
 
+from attrisk import scenario
 from attrisk.scenario import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     ParseError,
     ScenarioError,
+    ScenarioRuntimeError,
     UnknownKeyError,
     emit_report,
     load_scenario,
@@ -185,6 +187,21 @@ class TestRunScenario:
         with pytest.raises(ScenarioError) as exc:
             run_scenario(cfg)
         assert "short_surface" in str(exc.value)
+
+    def test_runtime_failures_are_not_config_errors(self, monkeypatch):
+        def disagree(response, decomp):
+            raise ArithmeticError("paths disagree")
+
+        monkeypatch.setattr(scenario, "integral_attribution", disagree)
+        cfg = parse_scenario(minimal(
+            name="odd_surface",
+            dose_response={"kind": "surface", "knots": [[0, 1.0], [2, 1.07], [4, 1.2]]},
+            mc={"samples": 100},
+        ))
+        with pytest.raises(ScenarioRuntimeError) as exc:
+            run_scenario(cfg)
+        assert isinstance(exc.value.__cause__, ArithmeticError)
+        assert "odd_surface" in str(exc.value) and "paths disagree" in str(exc.value)
 
     def test_provenance_fields(self, syria_bundle):
         prov = syria_bundle.provenance
