@@ -6,6 +6,9 @@ Commands:
   propagate  raw two-factor propagation from inline numeric flags
   selftest   replay the bundled syria_2010 scenario against its known answers
 
+Every command validates a scenario with scenario.parse_scenario and runs it
+through scenario.run_scenario; propagate builds its scenario from the flags.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 All report output goes to stdout (or --out); diagnostics go to stderr.
 """
@@ -13,7 +16,6 @@ All report output goes to stdout (or --out); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from importlib import resources
@@ -21,24 +23,24 @@ from importlib import resources
 import yaml
 
 from . import __version__
-from .engine import analytic_product_moments, decompose_anomaly, linear_attribution, \
-    propagate_attribution
+from .engine import analytic_product_moments
 from .scenario import (
     DEFAULT_SAMPLES,
-    DEFAULT_SEED,
     FORMATS,
     ScenarioError,
     emit_report,
     load_scenario,
+    parse_scenario,
     run_scenario,
 )
-from .uq import TailDirection, UncertainScalar, summarize, tail_probability
 
 ENV_SEED = "ATTRISK_SEED"
 
-
-def _bundled_scenario(name: str) -> str:
-    return str(resources.files("attrisk").joinpath(f"scenarios/{name}.yaml"))
+# The scenario field each propagate flag fills; --dprime also sets the total.
+PROPAGATE_FLAGS = {"anomaly_total": "--dprime", "anthropogenic.value": "--dprime",
+                   "anthropogenic.dispersion": "--dprime-sd", "dose_response.value": "--beta",
+                   "dose_response.dispersion": "--beta-sd", "mc.seed": "--seed",
+                   "mc.samples": "--samples"}
 
 
 def _parse_set(pairs: list[str]) -> dict[str, object]:
@@ -58,9 +60,13 @@ def _env_default_seed() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ScenarioError(f"{ENV_SEED} must be an integer, got {raw!r}") from exc
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ScenarioError(f"{ENV_SEED} must be a non-negative integer, got {raw!r}",
+                            ENV_SEED)
+    return seed
 
 
 def _load(args) -> "ScenarioConfig":
@@ -91,52 +97,41 @@ def cmd_attribute(args) -> int:
     return 0
 
 
-def _flag_scalar(flag: str, value: float, sd: float, units: str) -> UncertainScalar:
-    if not math.isfinite(value):
-        raise ScenarioError(f"{flag} must be finite, got {value}")
-    sd_flag = f"{flag}-sd"
-    if not (math.isfinite(sd) and sd >= 0):
-        raise ScenarioError(f"{sd_flag} must be finite and >= 0, got {sd}")
-    if sd == 0:
-        return UncertainScalar.point(value, units)
-    return UncertainScalar.normal(value, sd, units)
-
-
 def cmd_propagate(args) -> int:
-    # Every flag is checked before anything is drawn: bad input is a usage error.
-    seed, seed_source = args.seed, "--seed"
-    if seed is None:
-        seed, seed_source = _env_default_seed(), ENV_SEED
-    if seed is None:
-        seed = DEFAULT_SEED
-    if seed < 0:
-        raise ScenarioError(f"{seed_source} must be >= 0, got {seed}")
-    if args.samples < 2:
-        raise ScenarioError(f"--samples must be >= 2, got {args.samples}")
-    beta = _flag_scalar("--beta", args.beta, args.beta_sd, "percent-per-sigma")
-    dprime = _flag_scalar("--dprime", args.dprime, args.dprime_sd, "sigma")
-    dist = propagate_attribution(beta, dprime, seed, args.samples)
-    s = summarize(dist)
-    p = tail_probability(dist, 0.0, TailDirection.AT_OR_BELOW)
-    print(f"samples: {dist.sample_count}  seed: {seed}")
+    # The flags become a linear scenario. Its total anomaly never falls below
+    # D', so no decomposition warning fires; the total does not enter beta * D'.
+    data = {
+        "name": "propagate", "year": 0, "anomaly_total": max(args.dprime, 0.0),
+        "anthropogenic": {"value": args.dprime, "dispersion": args.dprime_sd},
+        "dose_response": {"kind": "linear", "value": args.beta, "dispersion": args.beta_sd},
+        "mc": {"samples": args.samples},
+    }
+    if args.seed is not None:
+        data["mc"]["seed"] = args.seed
+    try:
+        cfg = parse_scenario(data, default_seed=_env_default_seed())
+    except ScenarioError as exc:
+        flag = PROPAGATE_FLAGS.get(exc.field)
+        if flag is None:
+            raise
+        raise ScenarioError(str(exc).replace(exc.field, flag), flag) from exc
+    r = run_scenario(cfg)
+    s = r.distribution_summary
+    print(f"samples: {r.provenance['samples']}  seed: {r.provenance['seed']}")
     print(f"mean:   {s.mean:.4f}")
     print(f"median: {s.median:.4f}")
     print(f"IQR:    [{s.q25:.4f}, {s.q75:.4f}]")
     print(f"90%:    [{s.p05:.4f}, {s.p95:.4f}]")
     print(f"99%:    [{s.p005:.4f}, {s.p995:.4f}]")
-    print(f"p_value (at or below 0): {p:.4f}")
+    print(f"p_value (at or below 0): {r.p_value:.4f}")
     return 0
 
 
-def _selftest_checks(cfg):
+def _selftest_checks(cfg, bundle):
     """The seven regression checks against the known scenario answers."""
-    decomp = decompose_anomaly(cfg.anomaly_total, cfg.anthropogenic)
-    beta = cfg.dose_response.beta
-    attribution = linear_attribution(beta.value, decomp)
-    dist = propagate_attribution(beta, cfg.anthropogenic, cfg.seed, cfg.samples)
-    s = summarize(dist)
-    p = tail_probability(dist, 0.0, TailDirection.AT_OR_BELOW)
-    exact_mean, exact_var = analytic_product_moments(beta, cfg.anthropogenic)
+    attribution, s, p, dist = (bundle.attribution, bundle.distribution_summary,
+                               bundle.p_value, bundle.distribution)
+    exact_mean, exact_var = analytic_product_moments(cfg.dose_response.beta, cfg.anthropogenic)
 
     return [
         ("natural_point", attribution.natural_excess, "4.96 ± 0.06",
@@ -155,21 +150,13 @@ def _selftest_checks(cfg):
 
 
 def cmd_selftest(args) -> int:
-    overrides = _parse_set(args.set)
-    if args.seed is not None:
-        overrides["mc.seed"] = args.seed
-    if args.samples is not None:
-        overrides["mc.samples"] = args.samples
-    cfg = load_scenario(_bundled_scenario("syria_2010"), overrides,
-                        default_seed=_env_default_seed())
-    checks = _selftest_checks(cfg)
-    failures = 0
+    cfg = _load(args)
+    checks = _selftest_checks(cfg, run_scenario(cfg))
     for name, value, target, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name:<22} {value:.4f}  (target {target})")
-        if not ok:
-            failures += 1
-    print(f"{len(checks) - failures}/{len(checks)} checks passed")
-    return 0 if failures == 0 else 1
+    passed = sum(ok for *_, ok in checks)
+    print(f"{passed}/{len(checks)} checks passed")
+    return 0 if passed == len(checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--set", action="append", metavar="KEY=VALUE", default=[])
     p_self.add_argument("--seed", type=int, default=None)
     p_self.add_argument("--samples", type=int, default=None)
-    p_self.set_defaults(func=cmd_selftest)
+    p_self.set_defaults(func=cmd_selftest,
+                        scenario=str(resources.files("attrisk") / "scenarios/syria_2010.yaml"))
 
     return parser
 
@@ -225,15 +213,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except Exception as exc:  # usage/config error (2) or runtime failure (1)
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, FileNotFoundError) else 1
-    except Exception as exc:  # runtime failure
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ScenarioError, FileNotFoundError)) else 1
 
 
 if __name__ == "__main__":

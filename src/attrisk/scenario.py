@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass, field
 
 import yaml
 
@@ -49,6 +50,10 @@ DEFAULT_NULL_THRESHOLD = 0.0
 
 # Flag threshold for D' draws implying a negative natural component.
 EXCEEDANCE_FLAG_FRACTION = 0.01
+
+# Array bytes per sample (D' draws and product or surface buffer, float64 each)
+# and per histogram bin (edge and count); counts must fit in physical memory.
+_SAMPLE_BYTES = _BIN_BYTES = 16
 
 FORMATS = ("human", "csv", "json")
 
@@ -156,6 +161,17 @@ def _uncertain(mapping, path, units) -> UncertainScalar:
     return UncertainScalar.normal(value, dispersion, units)
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_fits(count: int, item_bytes: int, path: str):
+    need, have = count * item_bytes, _physical_memory()
+    if need > have:
+        raise ScenarioError(f"{path}: {count} needs {need / 2**30:.3g} GiB of arrays, "
+                            f"more than the {have / 2**30:.3g} GiB of physical memory", path)
+
+
 def _dose_response(mapping) -> DoseResponse:
     path = "dose_response"
     m = _require_mapping(mapping, path)
@@ -214,6 +230,7 @@ def parse_scenario(data, default_seed: int | None = None) -> ScenarioConfig:
     samples = mc.get("samples", DEFAULT_SAMPLES)
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
         raise ScenarioError("mc.samples: must be an integer >= 2", "mc.samples")
+    _check_fits(samples, _SAMPLE_BYTES, "mc.samples")
 
     report = _require_mapping(top.get("report", {}), "report")
     _check_keys(report, {"quantiles", "histogram_bins", "null_threshold"}, "report")
@@ -228,6 +245,7 @@ def parse_scenario(data, default_seed: int | None = None) -> ScenarioConfig:
     if not isinstance(bins, int) or isinstance(bins, bool) or bins < 1:
         raise ScenarioError("report.histogram_bins: must be a positive integer",
                             "report.histogram_bins")
+    _check_fits(bins, _BIN_BYTES, "report.histogram_bins")
     null_threshold = _number(report, "null_threshold", "report.null_threshold",
                              default=DEFAULT_NULL_THRESHOLD)
 
@@ -276,7 +294,8 @@ def load_scenario(path, overrides: dict[str, object] | None = None,
 @dataclass(frozen=True)
 class ReportBundle:
     """Everything a scenario run reports: point estimates, distribution
-    summary, p-value, quantile table, histogram, and provenance."""
+    summary, p-value, quantile table, histogram, and provenance. ``distribution``
+    (set by run_scenario only, never serialized) is the one they come from."""
 
     scenario: str
     year: int
@@ -286,6 +305,7 @@ class ReportBundle:
     quantiles: tuple[tuple[float, float], ...]
     histogram: tuple[tuple[float, float, int], ...]
     provenance: dict = field(hash=False)
+    distribution: EmpiricalDistribution | None = field(default=None, compare=False, repr=False)
 
 
 def _surface_propagation(cfg: ScenarioConfig, decomp, draws) -> EmpiricalDistribution:
@@ -333,6 +353,7 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
             scenario=cfg.name, year=cfg.year, attribution=attribution,
             distribution_summary=summary, p_value=p_value,
             quantiles=quantile_rows, histogram=hist, provenance=provenance,
+            distribution=dist,
         )
     except ScenarioError:
         raise
@@ -356,11 +377,7 @@ def _bundle_dict(r: ReportBundle) -> dict:
             "anthropogenic_excess_percent": _sig12(r.attribution.anthropogenic_excess),
             "total_relative_risk": _sig12(r.attribution.total_relative_risk),
         },
-        "distribution_summary": {
-            "median": _sig12(s.median), "q25": _sig12(s.q25), "q75": _sig12(s.q75),
-            "p05": _sig12(s.p05), "p95": _sig12(s.p95),
-            "p005": _sig12(s.p005), "p995": _sig12(s.p995), "mean": _sig12(s.mean),
-        },
+        "distribution_summary": {name: _sig12(v) for name, v in asdict(s).items()},
         "p_value": _sig12(r.p_value),
         "quantiles": [[_sig12(q), _sig12(v)] for q, v in r.quantiles],
         "histogram": [[_sig12(lo), _sig12(hi), count] for lo, hi, count in r.histogram],
@@ -385,9 +402,7 @@ def parse_report(blob: bytes | str) -> ReportBundle:
         attribution=RiskAttribution(a["natural_excess_percent"],
                                     a["anthropogenic_excess_percent"],
                                     a["total_relative_risk"]),
-        distribution_summary=BoxWhiskerSummary(
-            median=s["median"], q25=s["q25"], q75=s["q75"], p05=s["p05"],
-            p95=s["p95"], p005=s["p005"], p995=s["p995"], mean=s["mean"]),
+        distribution_summary=BoxWhiskerSummary(**s),
         p_value=doc["p_value"],
         quantiles=tuple((q, v) for q, v in doc["quantiles"]),
         histogram=tuple((lo, hi, count) for lo, hi, count in doc["histogram"]),
@@ -429,9 +444,7 @@ def _emit_csv(r: ReportBundle) -> str:
                         ("anthropogenic_excess_percent", r.attribution.anthropogenic_excess),
                         ("total_relative_risk", r.attribution.total_relative_risk)]:
         rows.append(("point", name, "", "", _g6(value)))
-    for name, value in [("median", s.median), ("q25", s.q25), ("q75", s.q75),
-                        ("p05", s.p05), ("p95", s.p95), ("p005", s.p005),
-                        ("p995", s.p995), ("mean", s.mean)]:
+    for name, value in asdict(s).items():
         rows.append(("summary", name, "", "", _g6(value)))
     rows.append(("test", "p_value", "", "", _g6(r.p_value)))
     for q, v in r.quantiles:

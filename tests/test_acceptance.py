@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import attrisk
 from attrisk.engine import (
     analytic_product_moments,
     decompose_anomaly,
@@ -29,7 +30,7 @@ from attrisk.uq import (
 )
 from attrisk.engine import DoseResponse
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SCENARIOS = Path(attrisk.__file__).parent / "scenarios"
 SYRIA = SCENARIOS / "syria_2010.yaml"
 
 BETA = UncertainScalar.normal(3.54, 1.2, "percent-per-sigma")

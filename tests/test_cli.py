@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 
 import attrisk
-from attrisk import scenario
+from attrisk import engine, scenario
 from attrisk.cli import main
+from attrisk.engine import BETA_STREAM, DPRIME_STREAM
+from attrisk.uq import CHUNK_SIZE, RandomStream
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SCENARIOS = Path(attrisk.__file__).parent / "scenarios"
 SYRIA = str(SCENARIOS / "syria_2010.yaml")
 TEMPERATURE = str(SCENARIOS / "syria_2010_temperature_illustrative.yaml")
 
@@ -113,6 +115,21 @@ class TestSeedPrecedence:
     def test_seed_flag_beats_set(self, capsys):
         assert self.seed_of(capsys, SYRIA, "--set", "mc.seed=5", "--seed", "6") == 6
 
+    def test_negative_env_seed_is_named_when_file_silent(self, capsys, monkeypatch,
+                                                        no_mc_scenario):
+        monkeypatch.setenv("ATTRISK_SEED", "-1")
+        code, out, err = run(capsys, "report", no_mc_scenario, "--samples", "100")
+        assert code == 2
+        assert out == ""
+        assert "ATTRISK_SEED" in err and "mc.seed" not in err
+
+    def test_negative_env_seed_is_rejected_when_file_sets_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("ATTRISK_SEED", "-1")
+        code, out, err = run(capsys, "report", SYRIA, "--samples", "100")
+        assert code == 2
+        assert out == ""
+        assert "ATTRISK_SEED" in err
+
 
 class TestPropagate:
     def test_rejects_zero_effect_null(self, capsys):
@@ -177,6 +194,22 @@ class TestPropagate:
         assert out == ""
         assert "ATTRISK_SEED" in err
 
+    @pytest.mark.parametrize("dispersions", [[], ["--beta-sd", "1.2", "--dprime-sd", "0.37"]],
+                             ids=["point", "normal"])
+    def test_samples_beyond_physical_memory_is_usage_error(self, capsys, monkeypatch,
+                                                           dispersions):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a sampler was reached")
+
+        for owner, name in [(scenario, "sample"), (engine, "sample"),
+                            (RandomStream, "standard_normal")]:
+            monkeypatch.setattr(owner, name, unreachable)
+        code, out, err = run(capsys, "propagate", "--beta", "3.54", "--dprime", "1.08",
+                             *dispersions, "--samples", str(10 ** 15))
+        assert code == 2
+        assert out == ""
+        assert "--samples" in err
+
 
 class TestSelftest:
     def test_default_build_passes(self, capsys):
@@ -193,6 +226,47 @@ class TestSelftest:
     def test_starved_sampling_fails(self, capsys):
         code, out, _ = run(capsys, "selftest", "--samples", "100")
         assert code == 1
+
+
+#: The syria_2010 inputs as propagate flags, and a run of several Philox chunks.
+SYRIA_FLAGS = ["--beta", "3.54", "--beta-sd", "1.2", "--dprime", "1.08", "--dprime-sd", "0.37"]
+PIPELINE_N = 2 * CHUNK_SIZE + 3
+PIPELINE_RUN = ["--seed", "11", "--samples", str(PIPELINE_N)]
+
+
+class TestOnePipeline:
+    """report, propagate and selftest all run through run_scenario."""
+
+    @pytest.mark.parametrize("argv", [["report", SYRIA], ["propagate", *SYRIA_FLAGS],
+                                      ["selftest"]], ids=["report", "propagate", "selftest"])
+    def test_each_stream_drawn_once(self, capsys, monkeypatch, argv):
+        calls = []
+        draw = RandomStream.standard_normal
+
+        def counted(stream, n):
+            calls.append((stream.label, n))
+            return draw(stream, n)
+
+        monkeypatch.setattr(RandomStream, "standard_normal", counted)
+        code, _, err = run(capsys, *argv, *PIPELINE_RUN)
+        assert code in (0, 1) and err == ""
+        assert sorted(calls) == [(BETA_STREAM, PIPELINE_N), (DPRIME_STREAM, PIPELINE_N)]
+
+    def test_propagate_prints_the_report_statistics(self, capsys):
+        code, out, _ = run(capsys, "propagate", *SYRIA_FLAGS, *PIPELINE_RUN)
+        assert code == 0
+        _, doc, _ = run(capsys, "report", SYRIA, "--format", "json", *PIPELINE_RUN)
+        report = json.loads(doc)
+        s, prov = report["distribution_summary"], report["provenance"]
+        assert out.splitlines() == [
+            f"samples: {prov['samples']}  seed: {prov['seed']}",
+            f"mean:   {s['mean']:.4f}",
+            f"median: {s['median']:.4f}",
+            f"IQR:    [{s['q25']:.4f}, {s['q75']:.4f}]",
+            f"90%:    [{s['p05']:.4f}, {s['p95']:.4f}]",
+            f"99%:    [{s['p005']:.4f}, {s['p995']:.4f}]",
+            f"p_value (at or below 0): {report['p_value']:.4f}",
+        ]
 
 
 class TestRuntimeFailure:

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import attrisk
 from attrisk.cli import main
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SCENARIOS = Path(attrisk.__file__).parent / "scenarios"
 
 pytestmark = pytest.mark.skipif(
     not np.__version__.startswith("2.4."),

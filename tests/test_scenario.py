@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import attrisk
 from attrisk import scenario
 from attrisk.scenario import (
     DEFAULT_SAMPLES,
@@ -19,7 +20,7 @@ from attrisk.scenario import (
 )
 from attrisk.uq import CHUNK_SIZE, RandomStream
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SCENARIOS = Path(attrisk.__file__).parent / "scenarios"
 SYRIA = SCENARIOS / "syria_2010.yaml"
 
 MINIMAL = {
@@ -97,6 +98,35 @@ class TestLoading:
             dose_response={"kind": "surface",
                            "knots": [[0, 1.0], [1, 1.04], [3, 1.12]]}))
         assert cfg.dose_response.knots == ((0, 1.0), (1, 1.04), (3, 1.12))
+
+
+class TestMemoryBound:
+    """Sample and bin counts whose arrays cannot fit in physical memory are
+    rejected while parsing, before any array is allocated."""
+
+    FIELDS = [("mc", "samples", "_SAMPLE_BYTES"),
+              ("report", "histogram_bins", "_BIN_BYTES")]
+
+    @pytest.mark.parametrize("block, key, _", FIELDS)
+    def test_count_beyond_physical_memory_names_field(self, block, key, _):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(minimal(**{block: {key: 10 ** 15}}))
+        assert exc.value.field == f"{block}.{key}"
+        assert f"{block}.{key}" in str(exc.value)
+
+    @pytest.mark.parametrize("block, key, item_bytes", FIELDS)
+    def test_bound_is_physical_memory(self, monkeypatch, block, key, item_bytes):
+        monkeypatch.setattr(scenario, "_physical_memory",
+                            lambda: 1000 * getattr(scenario, item_bytes))
+        small = {"mc": {"samples": 2}, "report": {"histogram_bins": 1}}
+
+        def parse(count):
+            return parse_scenario(minimal(**{**small, block: {key: count}}))
+
+        parse(1000)  # exactly fills physical memory
+        with pytest.raises(ScenarioError) as exc:
+            parse(1001)
+        assert exc.value.field == f"{block}.{key}"
 
 
 class TestDigest:
