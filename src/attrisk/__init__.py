@@ -6,9 +6,7 @@ __version__ = "0.1.0"
 from .uq import (  # noqa: E402,F401
     BoxWhiskerSummary,
     EmpiricalDistribution,
-    Family,
     RandomStream,
-    TailDirection,
     UncertainScalar,
     histogram,
     percentile,

@@ -70,7 +70,7 @@ def _env_default_seed() -> int | None:
 
 
 def _load(args) -> "ScenarioConfig":
-    if not os.path.exists(args.scenario):
+    if not os.path.isfile(args.scenario):
         raise ScenarioError(f"file not found: {args.scenario}")
     overrides = _parse_set(args.set)
     # Precedence: built-in default < ATTRISK_SEED < file < --set < --seed/--samples.

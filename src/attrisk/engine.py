@@ -4,7 +4,8 @@ Splits a climate anomaly into natural and anthropogenic components, maps each
 through a dose-response relationship (linear coefficient or monotone cubic
 response surface), and propagates input uncertainty into a full distribution
 of the anthropogenic excess risk. Excess risk is carried in percent; the
-relative-risk multiplier is dimensionless.
+relative-risk multiplier is dimensionless. An input of dispersion 0 is a point
+mass.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .uq import EmpiricalDistribution, Family, RandomStream, UncertainScalar, sample
+from .uq import EmpiricalDistribution, RandomStream, UncertainScalar, sample
 
 if TYPE_CHECKING:
     from scipy.interpolate import PchipInterpolator
@@ -25,8 +26,6 @@ if TYPE_CHECKING:
 # Stream labels deriving the two independent input streams from one seed.
 BETA_STREAM = 1
 DPRIME_STREAM = 2
-
-QUADRATURE_REL_TOL = 1e-9
 
 
 class SignConventionError(ValueError):
@@ -46,13 +45,11 @@ class AnomalyDecomposition:
     natural: float
 
 
-def decompose_anomaly(total: float, anthropogenic: UncertainScalar,
-                      strict: bool = False) -> AnomalyDecomposition:
+def decompose_anomaly(total: float, anthropogenic: UncertainScalar) -> AnomalyDecomposition:
     """Split a total anomaly into natural = total - anthropogenic.value and D'.
 
-    With strict=True an anthropogenic central value exceeding the total is a
-    hard error; otherwise it is a warning (sampled draws may exceed it anyway
-    and are handled downstream).
+    An anthropogenic central value exceeding the total is a warning, not an
+    error: sampled draws may exceed it anyway and are handled downstream.
     """
     if not math.isfinite(total):
         raise ValueError("total anomaly must be finite")
@@ -60,11 +57,8 @@ def decompose_anomaly(total: float, anthropogenic: UncertainScalar,
         raise SignConventionError(
             f"total anomaly must be >= 0 (positive = adverse), got {total}")
     if anthropogenic.value > total:
-        msg = (f"anthropogenic central value {anthropogenic.value} exceeds "
-               f"total anomaly {total}; natural component is negative")
-        if strict:
-            raise ValueError(msg)
-        warnings.warn(msg, stacklevel=2)
+        warnings.warn(f"anthropogenic central value {anthropogenic.value} exceeds "
+                      f"total anomaly {total}; natural component is negative", stacklevel=2)
     return AnomalyDecomposition(total, anthropogenic, total - anthropogenic.value)
 
 
@@ -103,7 +97,9 @@ class DoseResponse:
     def surface(cls, knots) -> "DoseResponse":
         return cls(ResponseKind.SURFACE, knots=tuple((float(d), float(rr)) for d, rr in knots))
 
-    def interpolant(self, extrapolate: bool = False) -> PchipInterpolator:
+    def interpolant(self) -> PchipInterpolator:
+        """The monotone cubic through the knots; beyond them it continues its
+        end cubics."""
         if self.kind is not ResponseKind.SURFACE:
             raise ValueError("interpolant is defined for surface dose-responses only")
         # Imported here so that linear runs never load scipy (most of the
@@ -112,7 +108,7 @@ class DoseResponse:
 
         xs = np.array([d for d, _ in self.knots])
         ys = np.array([rr for _, rr in self.knots])
-        return PchipInterpolator(xs, ys, extrapolate=extrapolate)
+        return PchipInterpolator(xs, ys)
 
 
 @dataclass(frozen=True)
@@ -133,40 +129,11 @@ def linear_attribution(beta: float, decomp: AnomalyDecomposition) -> RiskAttribu
     return RiskAttribution(natural, anthropogenic, 1.0 + (natural + anthropogenic) / 100.0)
 
 
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, rel_tol, scale, depth=40):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * rel_tol * scale:
-        return left + right + (left + right - whole) / 15.0
-    return (_adaptive_simpson(f, a, m, fa, flm, fm, left, rel_tol, scale, depth - 1)
-            + _adaptive_simpson(f, m, b, fm, frm, fb, right, rel_tol, scale, depth - 1))
-
-
-def integrate_adaptive(f, a: float, b: float, breakpoints=(),
-                       rel_tol: float = QUADRATURE_REL_TOL) -> float:
-    """Adaptive composite Simpson quadrature, split at interior breakpoints."""
-    if a == b:
-        return 0.0
-    points = [a] + sorted(p for p in breakpoints if a < p < b) + [b]
-    scale = max(abs(f(p)) for p in points) * (b - a) + 1e-300
-    total = 0.0
-    for lo, hi in zip(points, points[1:]):
-        m = 0.5 * (lo + hi)
-        flo, fm, fhi = f(lo), f(m), f(hi)
-        whole = (hi - lo) / 6.0 * (flo + 4.0 * fm + fhi)
-        total += _adaptive_simpson(f, lo, hi, flo, fm, fhi, whole, rel_tol, scale)
-    return total
-
-
 def integral_attribution(response: DoseResponse, decomp: AnomalyDecomposition) -> RiskAttribution:
     """Excess risk as the integral of the surface slope over each component.
 
-    Computed by quadrature of the interpolant's derivative over [0, D0] and
-    [D0, D0+D'], cross-checked against the direct relative-risk differences
-    (analytically the same antiderivative; both paths must agree).
+    The slope integrates over [0, D0] and [D0, D0+D'] to the differences of
+    the interpolant itself, rr(D0) - rr(0) and rr(D0+D') - rr(D0).
     """
     if response.kind is not ResponseKind.SURFACE:
         raise ValueError("integral_attribution requires a surface dose-response")
@@ -180,23 +147,9 @@ def integral_attribution(response: DoseResponse, decomp: AnomalyDecomposition) -
             f"anomaly {d_total} exceeds the last surface knot at D={last}")
 
     rr = response.interpolant()
-    slope = rr.derivative()
-    knot_ds = [d for d, _ in response.knots]
-
-    natural_quad = 100.0 * integrate_adaptive(slope, 0.0, d0, knot_ds)
-    anthro_quad = 100.0 * integrate_adaptive(slope, d0, d_total, knot_ds)
-
-    natural_diff = 100.0 * (float(rr(d0)) - float(rr(0.0)))
-    anthro_diff = 100.0 * (float(rr(d_total)) - float(rr(d0)))
-    scale = max(abs(natural_diff), abs(anthro_diff), 1.0)
-    if (abs(natural_quad - natural_diff) > 1e-9 * scale
-            or abs(anthro_quad - anthro_diff) > 1e-9 * scale):
-        raise ArithmeticError(
-            "quadrature and antiderivative-difference paths disagree: "
-            f"({natural_quad}, {anthro_quad}) vs ({natural_diff}, {anthro_diff})")
-
-    return RiskAttribution(natural_quad, anthro_quad,
-                           1.0 + (natural_quad + anthro_quad) / 100.0)
+    natural = 100.0 * (float(rr(d0)) - float(rr(0.0)))
+    anthropogenic = 100.0 * (float(rr(d_total)) - float(rr(d0)))
+    return RiskAttribution(natural, anthropogenic, 1.0 + (natural + anthropogenic) / 100.0)
 
 
 def propagate_attribution(beta: UncertainScalar, dprime: UncertainScalar,
@@ -221,7 +174,7 @@ def product_distribution(beta: UncertainScalar, dprime_draws: np.ndarray,
     """
     product = sample(beta, RandomStream(seed, BETA_STREAM), dprime_draws.size)
     product *= dprime_draws
-    return EmpiricalDistribution._from_owned(product, seed, units="percent")
+    return EmpiricalDistribution._from_owned(product)
 
 
 def anthropogenic_exceedance_fraction(dprime_draws: np.ndarray, total: float) -> float:
@@ -234,9 +187,8 @@ def anthropogenic_exceedance_fraction(dprime_draws: np.ndarray, total: float) ->
 
 
 def analytic_product_moments(a: UncertainScalar, b: UncertainScalar) -> tuple[float, float]:
-    """Exact mean and variance of the product of two independent normals."""
-    if a.family is not Family.NORMAL or b.family is not Family.NORMAL:
-        raise ValueError("analytic product moments require Normal inputs")
+    """Exact mean and variance of the product of two independent normals
+    (also exact when either is a point mass)."""
     mean = a.value * b.value
     variance = (a.value ** 2 * b.dispersion ** 2
                 + b.value ** 2 * a.dispersion ** 2

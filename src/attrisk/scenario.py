@@ -33,7 +33,6 @@ from .uq import (
     BoxWhiskerSummary,
     EmpiricalDistribution,
     RandomStream,
-    TailDirection,
     UncertainScalar,
     sample,
     histogram,
@@ -149,16 +148,14 @@ def _number(mapping, key, path, default=None, required=False):
     return float(v)
 
 
-def _uncertain(mapping, path, units) -> UncertainScalar:
+def _uncertain(mapping, path) -> UncertainScalar:
     m = _require_mapping(mapping, path)
     _check_keys(m, {"value", "dispersion"}, path)
     value = _number(m, "value", f"{path}.value", required=True)
     dispersion = _number(m, "dispersion", f"{path}.dispersion", default=0.0)
     if dispersion < 0:
         raise ScenarioError(f"{path}.dispersion: must be >= 0", f"{path}.dispersion")
-    if dispersion == 0:
-        return UncertainScalar.point(value, units)
-    return UncertainScalar.normal(value, dispersion, units)
+    return UncertainScalar(value, dispersion)
 
 
 def _physical_memory() -> int:
@@ -178,9 +175,7 @@ def _dose_response(mapping) -> DoseResponse:
     kind = m.get("kind", "linear")
     if kind == "linear":
         _check_keys(m, {"kind", "value", "dispersion"}, path)
-        beta = _uncertain({k: v for k, v in m.items() if k != "kind"},
-                          path, "percent-per-sigma")
-        return DoseResponse.linear(beta)
+        return DoseResponse.linear(_uncertain({k: v for k, v in m.items() if k != "kind"}, path))
     if kind == "surface":
         _check_keys(m, {"kind", "knots"}, path)
         knots = m.get("knots")
@@ -217,7 +212,7 @@ def parse_scenario(data, default_seed: int | None = None) -> ScenarioConfig:
                             "anomaly_total")
     if "anthropogenic" not in top:
         raise ScenarioError("missing required field: anthropogenic", "anthropogenic")
-    anthropogenic = _uncertain(top["anthropogenic"], "anthropogenic", "sigma")
+    anthropogenic = _uncertain(top["anthropogenic"], "anthropogenic")
     if "dose_response" not in top:
         raise ScenarioError("missing required field: dose_response", "dose_response")
     dose_response = _dose_response(top["dose_response"])
@@ -278,8 +273,11 @@ def apply_overrides(data: dict, overrides: dict[str, object]) -> dict:
 def load_scenario(path, overrides: dict[str, object] | None = None,
                   default_seed: int | None = None) -> ScenarioConfig:
     """Load, override, and strictly validate a scenario file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -311,14 +309,14 @@ class ReportBundle:
 def _surface_propagation(cfg: ScenarioConfig, decomp, draws) -> EmpiricalDistribution:
     # Uncertainty enters only through D'; each draw is mapped through the
     # surface at D0 + D'. Beyond the knots PCHIP continues its end cubic
-    # pieces (extrapolate=True), which is not a linear continuation.
+    # pieces, which is not a linear continuation.
     # The D' draws are consumed: D0 is added to them in place.
-    rr = cfg.dose_response.interpolant(extrapolate=True)
+    rr = cfg.dose_response.interpolant()
     draws += decomp.natural
     excess = rr(draws)
     excess -= float(rr(decomp.natural))
     excess *= 100.0
-    return EmpiricalDistribution._from_owned(excess, cfg.seed, units="percent")
+    return EmpiricalDistribution._from_owned(excess)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
@@ -339,7 +337,7 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
             attribution = integral_attribution(cfg.dose_response, decomp)
             dist = _surface_propagation(cfg, decomp, draws)
         summary = summarize(dist)
-        p_value = tail_probability(dist, cfg.null_threshold, TailDirection.AT_OR_BELOW)
+        p_value = tail_probability(dist, cfg.null_threshold)
         hist = tuple(histogram(dist, cfg.histogram_bins))
         quantile_rows = tuple((q, percentile(dist, q)) for q in cfg.quantiles)
         provenance = {
@@ -359,7 +357,7 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
         raise
     except ValueError as exc:  # e.g. DomainCoverageError: the config asks the impossible
         raise ScenarioError(f"scenario '{cfg.name}': {exc}") from exc
-    except Exception as exc:  # e.g. quadrature disagreement, MemoryError
+    except Exception as exc:  # e.g. MemoryError
         raise ScenarioRuntimeError(f"scenario '{cfg.name}': {exc}") from exc
 
 

@@ -6,7 +6,7 @@ produced in fixed-size chunks, each chunk keyed independently. A request of
 more than one chunk fills its chunks in place on a shared thread pool (numpy
 releases the interpreter lock while it draws); the result is bit-identical to
 filling them one after another, and the first n draws do not depend on how
-many more are requested later.
+many more are requested later. A quantity of dispersion 0 is a point mass.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -48,40 +47,19 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-class Family(Enum):
-    NORMAL = "normal"
-    POINT = "point"
-
-
-class TailDirection(Enum):
-    AT_OR_BELOW = "at_or_below"
-    AT_OR_ABOVE = "at_or_above"
-
-
 @dataclass(frozen=True)
 class UncertainScalar:
-    """A scalar with a central value and a one-standard-deviation dispersion."""
+    """A normal scalar: a central value and a one-standard-deviation
+    dispersion; dispersion 0 is a point mass at the value."""
 
     value: float
     dispersion: float = 0.0
-    family: Family = Family.NORMAL
-    units: str = ""
 
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ValueError(f"value must be finite, got {self.value}")
         if not math.isfinite(self.dispersion) or self.dispersion < 0:
             raise ValueError(f"dispersion must be finite and >= 0, got {self.dispersion}")
-        if self.family is Family.POINT and self.dispersion != 0:
-            raise ValueError("Point family requires dispersion == 0")
-
-    @classmethod
-    def point(cls, value: float, units: str = "") -> "UncertainScalar":
-        return cls(value, 0.0, Family.POINT, units)
-
-    @classmethod
-    def normal(cls, value: float, dispersion: float, units: str = "") -> "UncertainScalar":
-        return cls(value, dispersion, Family.NORMAL, units)
 
 
 @dataclass(frozen=True)
@@ -117,11 +95,11 @@ class RandomStream:
 def sample(q: UncertainScalar, stream: RandomStream, n: int) -> np.ndarray:
     """Draw n values of q into a new array the caller owns.
 
-    Point quantities return the value exactly, n times.
+    A point mass returns the value exactly, n times.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if q.family is Family.POINT:
+    if q.dispersion == 0:
         return np.full(n, q.value)
     out = stream.standard_normal(n)
     out *= q.dispersion
@@ -134,15 +112,13 @@ class EmpiricalDistribution:
     """A finalized (sorted, finite) sample-based distribution."""
 
     samples: np.ndarray
-    seed: int
-    units: str = ""
 
     @classmethod
-    def from_samples(cls, samples, seed: int, units: str = "") -> "EmpiricalDistribution":
-        return cls._from_owned(np.array(samples, dtype=float), seed, units)
+    def from_samples(cls, samples) -> "EmpiricalDistribution":
+        return cls._from_owned(np.array(samples, dtype=float))
 
     @classmethod
-    def _from_owned(cls, arr: np.ndarray, seed: int, units: str = "") -> "EmpiricalDistribution":
+    def _from_owned(cls, arr: np.ndarray) -> "EmpiricalDistribution":
         """Finalize a float array no one else holds: sorted in place, then frozen."""
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("need at least 2 samples")
@@ -150,7 +126,7 @@ class EmpiricalDistribution:
             raise ValueError("samples must be finite")
         arr.sort()
         arr.flags.writeable = False
-        return cls(arr, seed, units)
+        return cls(arr)
 
     @property
     def sample_count(self) -> int:
@@ -213,15 +189,9 @@ def summarize(d: EmpiricalDistribution) -> BoxWhiskerSummary:
     )
 
 
-def tail_probability(d: EmpiricalDistribution, threshold: float,
-                     direction: TailDirection = TailDirection.AT_OR_BELOW) -> float:
-    """Fraction of samples at or beyond the threshold (one-sided MC p-value)."""
-    n = d.sample_count
-    if direction is TailDirection.AT_OR_BELOW:
-        count = int(np.searchsorted(d.samples, threshold, side="right"))
-    else:
-        count = n - int(np.searchsorted(d.samples, threshold, side="left"))
-    return count / n
+def tail_probability(d: EmpiricalDistribution, threshold: float) -> float:
+    """Fraction of samples at or below the threshold (one-sided MC p-value)."""
+    return int(np.searchsorted(d.samples, threshold, side="right")) / d.sample_count
 
 
 def histogram(d: EmpiricalDistribution, bin_count: int) -> list[tuple[float, float, int]]:

@@ -53,6 +53,20 @@ class TestAttribute:
         assert code == 2
         assert "file not found" in err
 
+    def test_directory_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "attribute", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert str(tmp_path) in err
+
+    def test_non_utf8_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes("name: S\xe3o Paulo\n".encode("latin-1"))
+        code, out, err = run(capsys, "attribute", str(path))
+        assert code == 2
+        assert out == ""
+        assert str(path) in err
+
     def test_bad_override_path_is_usage_error(self, capsys):
         code, _, err = run(capsys, "attribute", SYRIA, "--set", "mc.sede=7")
         assert code == 2
@@ -226,6 +240,17 @@ class TestSelftest:
     def test_starved_sampling_fails(self, capsys):
         code, out, _ = run(capsys, "selftest", "--samples", "100")
         assert code == 1
+
+    def test_point_input_prints_every_check(self, capsys):
+        code, out, err = run(capsys, "selftest", "--set", "anthropogenic.dispersion=0")
+        lines = out.splitlines()
+        assert code == 1
+        assert "error:" not in err
+        assert len(lines) == 8 and lines[-1].endswith("/7 checks passed")
+        assert [line.split()[1] for line in lines[:7]] == [
+            "natural_point", "anthropogenic_point", "median", "p05", "p95",
+            "null_rejection", "mc_moments"]
+        assert lines[6].startswith("PASS")
 
 
 #: The syria_2010 inputs as propagate flags, and a run of several Philox chunks.

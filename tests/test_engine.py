@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from attrisk.engine import (
     DPRIME_STREAM,
@@ -12,7 +13,6 @@ from attrisk.engine import (
     anthropogenic_exceedance_fraction,
     decompose_anomaly,
     integral_attribution,
-    integrate_adaptive,
     linear_attribution,
     propagate_attribution,
 )
@@ -20,8 +20,41 @@ from attrisk.uq import RandomStream, UncertainScalar, sample
 
 SEED = 20150302
 
-DPRIME = UncertainScalar.normal(1.08, 0.37, "sigma")
-BETA = UncertainScalar.normal(3.54, 1.2, "percent-per-sigma")
+DPRIME = UncertainScalar(1.08, 0.37)
+BETA = UncertainScalar(3.54, 1.2)
+
+QUADRATURE_REL_TOL = 1e-9
+
+
+def _adaptive_simpson(f, a, b, fa, fm, fb, whole, rel_tol, scale, depth=40):
+    m = 0.5 * (a + b)
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    if depth <= 0 or abs(left + right - whole) <= 15.0 * rel_tol * scale:
+        return left + right + (left + right - whole) / 15.0
+    return (_adaptive_simpson(f, a, m, fa, flm, fm, left, rel_tol, scale, depth - 1)
+            + _adaptive_simpson(f, m, b, fm, frm, fb, right, rel_tol, scale, depth - 1))
+
+
+def integrate_adaptive(f, a: float, b: float, breakpoints=()) -> float:
+    """Adaptive composite Simpson quadrature, split at interior breakpoints: the
+    reference that integral_attribution's interpolant differences must match."""
+    if a == b:
+        return 0.0
+    points = [a] + sorted(p for p in breakpoints if a < p < b) + [b]
+    pieces = [(lo, 0.5 * (lo + hi), hi) for lo, hi in zip(points, points[1:])]
+    values = [(f(lo), f(m), f(hi)) for lo, m, hi in pieces]
+    # The scale takes the midpoints too: the slope of a knot table with a
+    # step between two plateaus is 0 at every knot, and a scale of 0 would
+    # let no piece meet the tolerance.
+    scale = max(abs(v) for piece in values for v in piece) * (b - a) + 1e-300
+    total = 0.0
+    for (lo, m, hi), (flo, fm, fhi) in zip(pieces, values):
+        whole = (hi - lo) / 6.0 * (flo + 4.0 * fm + fhi)
+        total += _adaptive_simpson(f, lo, hi, flo, fm, fhi, whole, QUADRATURE_REL_TOL, scale)
+    return total
 
 
 class TestDecompose:
@@ -31,11 +64,11 @@ class TestDecompose:
         assert d.anthropogenic.value == 1.08
 
     def test_no_anthropogenic_component(self):
-        d = decompose_anomaly(2.48, UncertainScalar.point(0.0))
+        d = decompose_anomaly(2.48, UncertainScalar(0.0))
         assert d.natural == 2.48
 
     def test_fully_anthropogenic(self):
-        d = decompose_anomaly(1.0, UncertainScalar.point(1.0))
+        d = decompose_anomaly(1.0, UncertainScalar(1.0))
         assert d.natural == 0.0
 
     def test_negative_total_rejected(self):
@@ -44,11 +77,7 @@ class TestDecompose:
 
     def test_anthropogenic_exceeding_total_warns(self):
         with pytest.warns(UserWarning):
-            decompose_anomaly(1.0, UncertainScalar.point(1.5))
-
-    def test_anthropogenic_exceeding_total_strict(self):
-        with pytest.raises(ValueError):
-            decompose_anomaly(1.0, UncertainScalar.point(1.5), strict=True)
+            decompose_anomaly(1.0, UncertainScalar(1.5))
 
 
 class TestLinearAttribution:
@@ -66,7 +95,7 @@ class TestLinearAttribution:
         assert attr.total_relative_risk == 1.0
 
     def test_temperature_coefficient_illustrative(self):
-        decomp = decompose_anomaly(1.0, UncertainScalar.point(0.0))
+        decomp = decompose_anomaly(1.0, UncertainScalar(0.0))
         attr = linear_attribution(11.33, decomp)
         assert attr.natural_excess == 11.33
 
@@ -110,7 +139,7 @@ class TestIntegralAttribution:
 
     def test_flat_surface(self):
         surface = DoseResponse.surface([(0, 1.0), (1, 1.0), (3, 1.0)])
-        decomp = decompose_anomaly(2.0, UncertainScalar.point(1.0))
+        decomp = decompose_anomaly(2.0, UncertainScalar(1.0))
         attr = integral_attribution(surface, decomp)
         assert (attr.natural_excess, attr.anthropogenic_excess) == (0.0, 0.0)
         assert attr.total_relative_risk == 1.0
@@ -119,21 +148,58 @@ class TestIntegralAttribution:
         # integral of d/dD (1 + 0.01 D^2) = 0.02 D over [0,1] and [1,2]
         knots = [(d, 1 + 0.01 * d ** 2) for d in np.arange(0, 3.01, 0.5)]
         surface = DoseResponse.surface(knots)
-        decomp = decompose_anomaly(2.0, UncertainScalar.point(1.0))
+        decomp = decompose_anomaly(2.0, UncertainScalar(1.0))
         attr = integral_attribution(surface, decomp)
         assert attr.natural_excess == pytest.approx(1.0, rel=1e-8)
         assert attr.anthropogenic_excess == pytest.approx(3.0, rel=1e-8)
 
     def test_domain_coverage(self):
         surface = DoseResponse.surface([(0, 1.0), (1, 1.05)])
-        decomp = decompose_anomaly(2.0, UncertainScalar.point(1.0))
+        decomp = decompose_anomaly(2.0, UncertainScalar(1.0))
         with pytest.raises(DomainCoverageError):
             integral_attribution(surface, decomp)
 
     def test_requires_surface_kind(self):
-        decomp = decompose_anomaly(2.0, UncertainScalar.point(1.0))
+        decomp = decompose_anomaly(2.0, UncertainScalar(1.0))
         with pytest.raises(ValueError):
             integral_attribution(DoseResponse.linear(BETA), decomp)
+
+    def test_plateau_step_surface(self):
+        # The slope is 0 at every knot; an adaptive quadrature scaled by the
+        # knot slopes alone never terminates on this table.
+        surface = DoseResponse.surface([(0, 1), (0.890827323040865, 1),
+                                        (1.78165464608173, 1.1730171374637992),
+                                        (2.672481969122595, 1.1730171374637992)])
+        decomp = decompose_anomaly(2.5318607043073036, UncertainScalar(0.1))
+        attr = integral_attribution(surface, decomp)
+        assert attr.natural_excess == pytest.approx(17.30171374637992, rel=1e-12)
+        assert attr.anthropogenic_excess == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(0.0, 0.5)),
+                          min_size=1, max_size=8),
+           falling=st.booleans(), total_at=st.floats(0.0, 1.0), dprime_at=st.floats(0.0, 1.0))
+    def test_matches_quadrature_of_the_slope(self, steps, falling, total_at, dprime_at):
+        knots = [(0.0, 1.0)]
+        for dx, dy in steps:
+            d, r = knots[-1]
+            knots.append((d + dx, r - dy if falling else r + dy))
+        surface = DoseResponse.surface(knots)
+        last = knots[-1][0]
+        total = total_at * last
+        decomp = decompose_anomaly(total, UncertainScalar(dprime_at * total))
+        d0 = decomp.natural
+        d_total = d0 + decomp.anthropogenic.value
+        assume(d_total <= last)
+
+        attr = integral_attribution(surface, decomp)
+        slope = surface.interpolant().derivative()
+        knot_ds = [d for d, _ in knots]
+        natural = 100.0 * integrate_adaptive(slope, 0.0, d0, knot_ds)
+        anthropogenic = 100.0 * integrate_adaptive(slope, d0, d_total, knot_ds)
+        bound = 1e-9 * max(abs(attr.natural_excess), abs(attr.anthropogenic_excess), 1.0)
+        assert abs(attr.natural_excess - natural) <= bound
+        assert abs(attr.anthropogenic_excess - anthropogenic) <= bound
 
 
 class TestQuadrature:
@@ -154,13 +220,13 @@ class TestQuadrature:
 
 class TestPropagation:
     def test_point_masses_are_degenerate(self):
-        d = propagate_attribution(UncertainScalar.point(3.54),
-                                  UncertainScalar.point(1.08), SEED, 100)
+        d = propagate_attribution(UncertainScalar(3.54),
+                                  UncertainScalar(1.08), SEED, 100)
         assert np.all(d.samples == 3.54 * 1.08)
 
     def test_zero_mean_product_is_centered(self):
-        d = propagate_attribution(UncertainScalar.normal(0, 1.2),
-                                  UncertainScalar.normal(0, 0.37), SEED, 1_000_000)
+        d = propagate_attribution(UncertainScalar(0, 1.2),
+                                  UncertainScalar(0, 0.37), SEED, 1_000_000)
         assert abs(np.median(d.samples)) < 0.01
 
     def test_deterministic(self):
@@ -193,16 +259,16 @@ class TestAnalyticProductMoments:
         assert var == pytest.approx(3.59232804)
 
     def test_standard_normal_pair(self):
-        mean, var = analytic_product_moments(UncertainScalar.normal(0, 1),
-                                             UncertainScalar.normal(0, 1))
+        mean, var = analytic_product_moments(UncertainScalar(0, 1),
+                                             UncertainScalar(0, 1))
         assert (mean, var) == (0.0, 1.0)
 
     def test_near_point_masses(self):
-        mean, var = analytic_product_moments(UncertainScalar.normal(5, 1e-4),
-                                             UncertainScalar.normal(2, 1e-4))
+        mean, var = analytic_product_moments(UncertainScalar(5, 1e-4),
+                                             UncertainScalar(2, 1e-4))
         assert mean == 10.0
         assert var == pytest.approx(2.9e-7, rel=0.01)
 
-    def test_rejects_point_family(self):
-        with pytest.raises(ValueError):
-            analytic_product_moments(UncertainScalar.point(1.0), BETA)
+    def test_point_input_is_exact(self):
+        mean, var = analytic_product_moments(UncertainScalar(3.54, 1.2), UncertainScalar(1.08))
+        assert (mean, var) == (3.54 * 1.08, 1.08 ** 2 * 1.2 ** 2)

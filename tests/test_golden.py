@@ -1,4 +1,4 @@
-"""Byte-exact guard on the JSON report of fixed scenarios at default settings.
+"""Byte-exact guard on the reports of fixed scenarios at default settings.
 
 The report bytes follow from (config, seed, n) and from numpy's Generator
 stream, which NEP 19 does not fix across numpy versions, so the digests are
@@ -34,23 +34,43 @@ mc: {samples: 200003}
 """
 
 
-def report_sha256(path, tmp_path):
-    out = tmp_path / "report.json"
-    assert main(["report", str(path), "--format", "json", "--out", str(out)]) == 0
+def scenario_path(name, tmp_path):
+    if name != "golden_surface":
+        return SCENARIOS / f"{name}.yaml"
+    path = tmp_path / "surface.yaml"
+    path.write_text(SURFACE_YAML)
+    return path
+
+
+def report_sha256(path, tmp_path, fmt="json"):
+    out = tmp_path / f"report.{fmt}"
+    assert main(["report", str(path), "--format", fmt, "--out", str(out)]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name, digest", [
-    ("syria_2010", "7d08e1682762c503e6f867ae9042e91cb33f0f0a4b8f64f3bf6f358bbabd6384"),
-    ("syria_2010_temperature_illustrative",
+CASES = [
+    ("syria_2010", "json", "7d08e1682762c503e6f867ae9042e91cb33f0f0a4b8f64f3bf6f358bbabd6384"),
+    ("syria_2010_temperature_illustrative", "json",
      "57aa89f671897829c9b14442da0e4a5b9ced203b437bb319d4eb1640d39accf0"),
-])
-def test_bundled_report_bytes(name, digest, tmp_path):
-    assert report_sha256(SCENARIOS / f"{name}.yaml", tmp_path) == digest
+    ("syria_2010", "human",
+     "d7a0df10dcc13e1732d5134b131b4fd36805116a57051c799f46f8e4e4c853d5"),
+    ("syria_2010", "csv",
+     "e05da07f4a7eb0fe2c13b9dd47fa1c24950449f13ab49567a8022beea844030a"),
+    ("golden_surface", "human",
+     "04ec13b1fac24de008ccf67380beec2c5ea8e993350c943e3b7d439a8cc4cf7b"),
+    ("golden_surface", "csv",
+     "eaf1041b23f87609666d279d65d74c97c68c8d6d75fd0a62681759b38229f715"),
+]
+
+
+@pytest.mark.parametrize("name, fmt, digest", [
+    pytest.param(name, fmt, digest,
+                 id=f"{name}-{digest}" if fmt == "json" else f"{name}-{fmt}-{digest}")
+    for name, fmt, digest in CASES])
+def test_bundled_report_bytes(name, fmt, digest, tmp_path):
+    assert report_sha256(scenario_path(name, tmp_path), tmp_path, fmt) == digest
 
 
 def test_surface_report_bytes(tmp_path):
-    path = tmp_path / "surface.yaml"
-    path.write_text(SURFACE_YAML)
     digest = "af3154d1503af7be6490a83b45b282f81b10f4dfab3f2ced903701d34ac990c2"
-    assert report_sha256(path, tmp_path) == digest
+    assert report_sha256(scenario_path("golden_surface", tmp_path), tmp_path) == digest

@@ -78,6 +78,13 @@ class TestLoading:
             load_scenario(bad)
         assert "line" in str(exc.value)
 
+    def test_non_utf8_is_parse_error(self, tmp_path):
+        bad = tmp_path / "latin1.yaml"
+        bad.write_bytes("name: S\xe3o Paulo\n".encode("latin-1"))
+        with pytest.raises(ParseError) as exc:
+            load_scenario(bad)
+        assert str(bad) in str(exc.value)
+
     def test_negative_anomaly_rejected(self):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(minimal(anomaly_total=-1.0))
