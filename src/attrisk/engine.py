@@ -5,23 +5,21 @@ through a dose-response relationship (linear coefficient or monotone cubic
 response surface), and propagates input uncertainty into a full distribution
 of the anthropogenic excess risk. Excess risk is carried in percent; the
 relative-risk multiplier is dimensionless. An input of dispersion 0 is a point
-mass.
+mass. ``propagate`` turns each Philox chunk of one n-array into its excess
+risk in place, on the ``uq`` pool.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .uq import EmpiricalDistribution, RandomStream, UncertainScalar, sample
-
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
+from .uq import EmpiricalDistribution, RandomStream, UncertainScalar, chunk_sampler, map_chunks
 
 # Stream labels deriving the two independent input streams from one seed.
 BETA_STREAM = 1
@@ -62,6 +60,47 @@ def decompose_anomaly(total: float, anthropogenic: UncertainScalar) -> AnomalyDe
     return AnomalyDecomposition(total, anthropogenic, total - anthropogenic.value)
 
 
+class Pchip:
+    """scipy's PchipInterpolator in numpy, bit for bit: Fritsch & Butland knot
+    slopes with Moler's ends (two knots give the line), as power-form pieces c
+    (highest degree first) evaluated in scipy's PPoly order. Beyond the knots
+    it continues its end cubics."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.full_like(y, m[0])
+        if x.size > 2:
+            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+            flat_or_turning = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d[1:-1] = np.where(flat_or_turning, 0.0,
+                                   1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            # Moler's one-sided three-point ends, kept shape-preserving.
+            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+            e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0, np.where(
+                (np.sign(m0) != np.sign(m1)) & (abs(e) > 3.0 * abs(m0)), 3.0 * m0, e))
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.x = x
+        self.c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+    def __call__(self, v):
+        # The piece is the count of inner knots at or below v.
+        i = np.searchsorted(self.x[1:-1], v, side="right")
+        c0, c1, c2, c3 = self.c
+        s = v - self.x[i]
+        ss = s * s
+        return ((c3[i] + c2[i] * s) + c1[i] * ss) + c0[i] * (ss * s)
+
+    def derivative(self) -> "Pchip":
+        """The slope, whose integral over an interval is the cubic's difference."""
+        slope = copy.copy(self)
+        c0, c1, c2, _ = self.c
+        slope.c = np.stack((np.zeros_like(c0), 3 * c0, 2 * c1, c2))
+        return slope
+
+
 class ResponseKind(Enum):
     LINEAR = "linear"
     SURFACE = "surface"
@@ -75,6 +114,8 @@ class DoseResponse:
     kind: ResponseKind
     beta: UncertainScalar | None = None
     knots: tuple[tuple[float, float], ...] = ()
+    # Built once, so a run's point estimate and propagation share it.
+    _interpolant: Pchip | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind is ResponseKind.LINEAR:
@@ -88,6 +129,8 @@ class DoseResponse:
                 raise ValueError("surface knots must be strictly increasing in D")
             if ds[0] != 0.0 or self.knots[0][1] != 1.0:
                 raise ValueError("surface must start at knot (0, 1): relative risk is 1 at D=0")
+            object.__setattr__(self, "_interpolant",
+                               Pchip(np.array(ds), np.array([rr for _, rr in self.knots])))
 
     @classmethod
     def linear(cls, beta: UncertainScalar) -> "DoseResponse":
@@ -97,18 +140,12 @@ class DoseResponse:
     def surface(cls, knots) -> "DoseResponse":
         return cls(ResponseKind.SURFACE, knots=tuple((float(d), float(rr)) for d, rr in knots))
 
-    def interpolant(self) -> PchipInterpolator:
+    def interpolant(self) -> Pchip:
         """The monotone cubic through the knots; beyond them it continues its
         end cubics."""
         if self.kind is not ResponseKind.SURFACE:
             raise ValueError("interpolant is defined for surface dose-responses only")
-        # Imported here so that linear runs never load scipy (most of the
-        # CLI's cold start).
-        from scipy.interpolate import PchipInterpolator
-
-        xs = np.array([d for d, _ in self.knots])
-        ys = np.array([rr for _, rr in self.knots])
-        return PchipInterpolator(xs, ys)
+        return self._interpolant
 
 
 @dataclass(frozen=True)
@@ -154,35 +191,56 @@ def integral_attribution(response: DoseResponse, decomp: AnomalyDecomposition) -
 
 def propagate_attribution(beta: UncertainScalar, dprime: UncertainScalar,
                           seed: int, n: int) -> EmpiricalDistribution:
-    """Distribution of the anthropogenic excess risk beta_i * D'_i (percent).
-
-    The two inputs are drawn independently from fixed-label substreams of the
-    single seed.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return product_distribution(beta, sample(dprime, RandomStream(seed, DPRIME_STREAM), n), seed)
+    """Distribution of the anthropogenic excess risk beta_i * D'_i (percent),
+    the inputs drawn from fixed-label substreams of the single seed."""
+    # A total of at least D' warns of nothing and does not enter beta * D'.
+    decomp = decompose_anomaly(max(dprime.value, 0.0), dprime)
+    return propagate(DoseResponse.linear(beta), decomp, seed, n)[0]
 
 
-def product_distribution(beta: UncertainScalar, dprime_draws: np.ndarray,
-                         seed: int) -> EmpiricalDistribution:
-    """Distribution of beta_i * D'_i for D' draws already taken from the
-    DPRIME_STREAM substream; beta is drawn from the BETA_STREAM substream.
+# Values per PCHIP call in a chunk: its temporaries stay below a chunk's size.
+_PCHIP_BLOCK = 8192
 
-    The product is formed and sorted in the beta buffer; dprime_draws is left
-    unchanged.
-    """
-    product = sample(beta, RandomStream(seed, BETA_STREAM), dprime_draws.size)
-    product *= dprime_draws
-    return EmpiricalDistribution._from_owned(product)
+
+def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
+              n: int) -> tuple[EmpiricalDistribution, float]:
+    """The anthropogenic excess risk, beta_i * D'_i or 100 * (rr(D0 + D'_i) - rr(D0))
+    from n draws of D' (DPRIME_STREAM) and beta (BETA_STREAM), and the fraction
+    of D' draws above the total anomaly. Each chunk of one n-array is drawn,
+    counted and mapped in place on the pool, then the array is sorted."""
+    draw_dprime = chunk_sampler(decomp.anthropogenic, RandomStream(seed, DPRIME_STREAM), n)
+    beta = response.beta
+    if beta is not None:
+        draw_beta = chunk_sampler(beta, RandomStream(seed, BETA_STREAM), n)
+    else:
+        rr = response.interpolant()
+        rr0 = float(rr(decomp.natural))
+
+    def finish(i: int, chunk: np.ndarray) -> int:
+        draw_dprime(i, chunk)
+        above = np.count_nonzero(chunk > decomp.total)
+        if beta is None:
+            chunk += decomp.natural
+            for lo in range(0, chunk.size, _PCHIP_BLOCK):
+                chunk[lo:lo + _PCHIP_BLOCK] = rr(chunk[lo:lo + _PCHIP_BLOCK])
+            chunk -= rr0
+            chunk *= 100.0
+        elif beta.dispersion == 0:
+            chunk *= beta.value
+        else:
+            betas = np.empty(chunk.size)
+            draw_beta(i, betas)
+            chunk *= betas
+        return above
+
+    out = np.empty(n)
+    above = sum(map_chunks(finish, out))
+    return EmpiricalDistribution._from_owned(out), above / n
 
 
 def anthropogenic_exceedance_fraction(dprime_draws: np.ndarray, total: float) -> float:
-    """Fraction of D' draws exceeding the total anomaly (negative-D0 draws).
-
-    Takes the D' draws a run propagates rather than drawing its own, so the
-    fraction refers to exactly the draws behind the reported distribution.
-    """
+    """Fraction of D' draws exceeding the total anomaly (negative-D0 draws):
+    what ``propagate`` counts chunk by chunk, for draws held whole."""
     return np.count_nonzero(dprime_draws > total) / dprime_draws.size
 
 

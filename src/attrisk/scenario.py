@@ -19,22 +19,18 @@ import yaml
 
 from . import __version__
 from .engine import (
-    DPRIME_STREAM,
     DoseResponse,
     ResponseKind,
     RiskAttribution,
-    anthropogenic_exceedance_fraction,
     decompose_anomaly,
     integral_attribution,
     linear_attribution,
-    product_distribution,
+    propagate,
 )
 from .uq import (
     BoxWhiskerSummary,
     EmpiricalDistribution,
-    RandomStream,
     UncertainScalar,
-    sample,
     histogram,
     percentile,
     summarize,
@@ -50,9 +46,10 @@ DEFAULT_NULL_THRESHOLD = 0.0
 # Flag threshold for D' draws implying a negative natural component.
 EXCEEDANCE_FLAG_FRACTION = 0.01
 
-# Array bytes per sample (D' draws and product or surface buffer, float64 each)
-# and per histogram bin (edge and count); counts must fit in physical memory.
-_SAMPLE_BYTES = _BIN_BYTES = 16
+# Array bytes per sample (one float64 buffer, whose D' draws become the excess
+# risk in place; chunk scratch is O(workers * CHUNK_SIZE)) and per histogram
+# bin (edge and count); counts must fit in physical memory.
+_SAMPLE_BYTES, _BIN_BYTES = 8, 16
 
 FORMATS = ("human", "csv", "json")
 
@@ -306,36 +303,20 @@ class ReportBundle:
     distribution: EmpiricalDistribution | None = field(default=None, compare=False, repr=False)
 
 
-def _surface_propagation(cfg: ScenarioConfig, decomp, draws) -> EmpiricalDistribution:
-    # Uncertainty enters only through D'; each draw is mapped through the
-    # surface at D0 + D'. Beyond the knots PCHIP continues its end cubic
-    # pieces, which is not a linear continuation.
-    # The D' draws are consumed: D0 is added to them in place.
-    rr = cfg.dose_response.interpolant()
-    draws += decomp.natural
-    excess = rr(draws)
-    excess -= float(rr(decomp.natural))
-    excess *= 100.0
-    return EmpiricalDistribution._from_owned(excess)
-
-
 def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
     """Run the full attribution pipeline for a validated config.
 
-    D' is drawn once; the exceedance fraction and the propagated distribution
-    both come from that one array.
+    Each input is drawn once, into one n-array that each chunk turns into its
+    product or surface values in place; the exceedance fraction is counted on
+    the same D' draws, chunk by chunk.
     """
     try:
         decomp = decompose_anomaly(cfg.anomaly_total, cfg.anthropogenic)
-        draws = sample(cfg.anthropogenic, RandomStream(cfg.seed, DPRIME_STREAM), cfg.samples)
-        exceedance = anthropogenic_exceedance_fraction(draws, cfg.anomaly_total)
         if cfg.dose_response.kind is ResponseKind.LINEAR:
-            beta = cfg.dose_response.beta
-            attribution = linear_attribution(beta.value, decomp)
-            dist = product_distribution(beta, draws, cfg.seed)
+            attribution = linear_attribution(cfg.dose_response.beta.value, decomp)
         else:
             attribution = integral_attribution(cfg.dose_response, decomp)
-            dist = _surface_propagation(cfg, decomp, draws)
+        dist, exceedance = propagate(cfg.dose_response, decomp, cfg.seed, cfg.samples)
         summary = summarize(dist)
         p_value = tail_probability(dist, cfg.null_threshold)
         hist = tuple(histogram(dist, cfg.histogram_bins))

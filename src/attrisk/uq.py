@@ -2,11 +2,11 @@
 
 Sampling is built on the Philox counter-based bit generator so that the i-th
 draw of a stream is a pure function of (seed, stream label, i): draws are
-produced in fixed-size chunks, each chunk keyed independently. A request of
-more than one chunk fills its chunks in place on a shared thread pool (numpy
-releases the interpreter lock while it draws); the result is bit-identical to
-filling them one after another, and the first n draws do not depend on how
-many more are requested later. A quantity of dispersion 0 is a point mass.
+produced in fixed-size chunks, each keyed independently. ``map_chunks`` runs
+each chunk's work (draw, then finish in place) on a shared thread pool; the
+result is bit-identical to doing the chunks one after another, and the first n
+draws do not depend on how many more are requested later. A quantity of
+dispersion 0 is a point mass and draws nothing.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -47,6 +48,15 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
+def map_chunks(work: Callable[[int, np.ndarray], object], out: np.ndarray) -> list:
+    """``work(i, chunk)`` for each CHUNK_SIZE view into out, on the pool when
+    there is more than one; the results in order (re-raising a worker's error)."""
+    chunks = [out[lo:lo + CHUNK_SIZE] for lo in range(0, out.size, CHUNK_SIZE)]
+    if len(chunks) == 1:
+        return [work(0, chunks[0])]
+    return list(_pool().map(work, range(len(chunks)), chunks))
+
+
 @dataclass(frozen=True)
 class UncertainScalar:
     """A normal scalar: a central value and a one-standard-deviation
@@ -73,23 +83,35 @@ class RandomStream:
     seed: int
     label: int = 0
 
+    def generators(self, n: int) -> list[Generator]:
+        """One generator per chunk of the first n draws, keyed (seed, label, i);
+        every draw starts here, on the calling thread, so workers only fill."""
+        return [Generator(Philox(SeedSequence(self.seed, spawn_key=(self.label, i))))
+                for i in range(-(-n // CHUNK_SIZE))]
+
     def standard_normal(self, n: int) -> np.ndarray:
         if n < 1:
             raise ValueError("n must be >= 1")
         out = np.empty(n)
-        # Generators are keyed here, on the calling thread; workers only fill.
-        gens = [Generator(Philox(SeedSequence(self.seed, spawn_key=(self.label, i))))
-                for i in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE)]
-
-        def fill(i: int) -> None:
-            gens[i].standard_normal(out=out[i * CHUNK_SIZE:(i + 1) * CHUNK_SIZE])
-
-        if len(gens) == 1:
-            fill(0)
-        else:
-            for _ in _pool().map(fill, range(len(gens))):
-                pass  # reading each result re-raises a worker's exception
+        gens = self.generators(n)
+        map_chunks(lambda i, chunk: gens[i].standard_normal(out=chunk), out)
         return out
+
+
+def chunk_sampler(q: UncertainScalar, stream: RandomStream,
+                  n: int) -> Callable[[int, np.ndarray], None]:
+    """``draw(i, chunk)`` fills the i-th chunk of n draws of q in place; a point
+    mass keys no generator."""
+    if q.dispersion == 0:
+        return lambda i, chunk: chunk.fill(q.value)
+    gens = stream.generators(n)
+
+    def draw(i: int, chunk: np.ndarray) -> None:
+        gens[i].standard_normal(out=chunk)
+        chunk *= q.dispersion
+        chunk += q.value
+
+    return draw
 
 
 def sample(q: UncertainScalar, stream: RandomStream, n: int) -> np.ndarray:
@@ -99,11 +121,8 @@ def sample(q: UncertainScalar, stream: RandomStream, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if q.dispersion == 0:
-        return np.full(n, q.value)
-    out = stream.standard_normal(n)
-    out *= q.dispersion
-    out += q.value
+    out = np.empty(n)
+    map_chunks(chunk_sampler(q, stream, n), out)
     return out
 
 
@@ -122,9 +141,10 @@ class EmpiricalDistribution:
         """Finalize a float array no one else holds: sorted in place, then frozen."""
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("need at least 2 samples")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite")
         arr.sort()
+        # The sort puts -inf first and +inf and NaN last, so the ends tell.
+        if not (np.isfinite(arr[0]) and np.isfinite(arr[-1])):
+            raise ValueError("samples must be finite")
         arr.flags.writeable = False
         return cls(arr)
 

@@ -215,8 +215,7 @@ class TestPropagate:
         def unreachable(*args, **kwargs):
             raise AssertionError("a sampler was reached")
 
-        for owner, name in [(scenario, "sample"), (engine, "sample"),
-                            (RandomStream, "standard_normal")]:
+        for owner, name in [(engine, "map_chunks"), (RandomStream, "generators")]:
             monkeypatch.setattr(owner, name, unreachable)
         code, out, err = run(capsys, "propagate", "--beta", "3.54", "--dprime", "1.08",
                              *dispersions, "--samples", str(10 ** 15))
@@ -266,13 +265,13 @@ class TestOnePipeline:
                                       ["selftest"]], ids=["report", "propagate", "selftest"])
     def test_each_stream_drawn_once(self, capsys, monkeypatch, argv):
         calls = []
-        draw = RandomStream.standard_normal
+        key = RandomStream.generators
 
         def counted(stream, n):
             calls.append((stream.label, n))
-            return draw(stream, n)
+            return key(stream, n)
 
-        monkeypatch.setattr(RandomStream, "standard_normal", counted)
+        monkeypatch.setattr(RandomStream, "generators", counted)
         code, _, err = run(capsys, *argv, *PIPELINE_RUN)
         assert code in (0, 1) and err == ""
         assert sorted(calls) == [(BETA_STREAM, PIPELINE_N), (DPRIME_STREAM, PIPELINE_N)]
@@ -331,7 +330,7 @@ def run_fresh(*argv):
 
 
 class TestColdStart:
-    """scipy is imported only for surface dose-responses."""
+    """No command imports scipy: the surface interpolant is numpy."""
 
     @pytest.mark.parametrize("argv", [
         ["attribute", SYRIA, "--samples", "20000"],
@@ -344,5 +343,5 @@ class TestColdStart:
     def test_linear_commands_never_load_scipy(self, argv):
         assert run_fresh(*argv) == (0, False)
 
-    def test_surface_scenario_loads_scipy(self, surface_scenario):
-        assert run_fresh("attribute", surface_scenario) == (0, True)
+    def test_surface_scenario_never_loads_scipy(self, surface_scenario):
+        assert run_fresh("attribute", surface_scenario) == (0, False)

@@ -1,10 +1,15 @@
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from numpy.random import Generator, Philox, SeedSequence
 
 from attrisk.engine import (
+    BETA_STREAM,
     DPRIME_STREAM,
     DomainCoverageError,
     DoseResponse,
@@ -14,9 +19,11 @@ from attrisk.engine import (
     decompose_anomaly,
     integral_attribution,
     linear_attribution,
+    Pchip,
+    propagate,
     propagate_attribution,
 )
-from attrisk.uq import RandomStream, UncertainScalar, sample
+from attrisk.uq import CHUNK_SIZE, RandomStream, UncertainScalar, sample
 
 SEED = 20150302
 
@@ -202,6 +209,30 @@ class TestIntegralAttribution:
         assert abs(attr.anthropogenic_excess - anthropogenic) <= bound
 
 
+class TestPchip:
+    """The numpy PCHIP is scipy's PchipInterpolator, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(0.0, 0.5),
+                                    st.booleans()), min_size=1, max_size=7),
+           shape=st.sampled_from(["rising", "falling", "mixed"]),
+           probes=st.lists(st.floats(-3.0, 3.0), max_size=20))
+    def test_matches_scipy(self, steps, shape, probes):
+        scipy_interpolate = pytest.importorskip("scipy.interpolate")
+        xs, ys = [0.0], [1.0]
+        for dx, dy, up in steps:
+            xs.append(xs[-1] + dx)
+            ys.append(ys[-1] + (dy if shape == "rising" or shape == "mixed" and up else -dy))
+        x, y = np.array(xs), np.array(ys)
+        ours, theirs = Pchip(x, y), scipy_interpolate.PchipInterpolator(x, y)
+        # The knots, between them, and beyond both ends.
+        v = np.concatenate((x, (x[1:] + x[:-1]) / 2, x[0] - np.array([1e-9, 0.5, 3.0]),
+                            x[-1] + np.array([1e-9, 0.5, 3.0]),
+                            x[0] + (np.array(probes) + 0.5) * (x[-1] - x[0])))
+        assert ours(v).tobytes() == theirs(v).tobytes()
+        assert [float(ours(p)) for p in v] == [float(theirs(p)) for p in v]
+
+
 class TestQuadrature:
     def test_polynomial_exact(self):
         assert integrate_adaptive(lambda x: x ** 2, 0, 3) == pytest.approx(9.0, rel=1e-12)
@@ -272,3 +303,103 @@ class TestAnalyticProductMoments:
     def test_point_input_is_exact(self):
         mean, var = analytic_product_moments(UncertainScalar(3.54, 1.2), UncertainScalar(1.08))
         assert (mean, var) == (3.54 * 1.08, 1.08 ** 2 * 1.2 ** 2)
+
+
+SURFACE = DoseResponse.surface([(0, 1), (1, 1.05), (2, 1.15), (3, 1.3), (5, 1.6)])
+
+#: (dose-response, D') pairs: normals, and a point mass on either input.
+KERNEL_CASES = {
+    "linear": (DoseResponse.linear(BETA), DPRIME),
+    "linear-point-beta": (DoseResponse.linear(UncertainScalar(3.54)), DPRIME),
+    "linear-point-dprime": (DoseResponse.linear(BETA), UncertainScalar(1.08)),
+    "surface": (SURFACE, UncertainScalar(1.2, 0.5)),
+    "surface-point-dprime": (SURFACE, UncertainScalar(1.2)),
+}
+KERNEL_TOTAL = 2.0
+KERNEL_SIZES = [2, CHUNK_SIZE, CHUNK_SIZE + 1, 5 * CHUNK_SIZE + 17]
+
+
+def serial_propagation(response, dprime, n, order=None):
+    """Reference: every chunk keyed and drawn on this thread, in the given
+    order, then the whole arrays formed as beta * D' or
+    100 * (rr(D0 + D') - rr(D0)) and sorted."""
+    def draws(q, label):
+        if q.dispersion == 0:
+            return np.full(n, q.value)
+        out = np.empty(n)
+        chunks = list(range(-(-n // CHUNK_SIZE)))
+        for i in order(chunks) if order else chunks:
+            start = i * CHUNK_SIZE
+            gen = Generator(Philox(SeedSequence(SEED, spawn_key=(label, i))))
+            out[start:start + CHUNK_SIZE] = gen.standard_normal(min(CHUNK_SIZE, n - start))
+        return out * q.dispersion + q.value
+
+    d = draws(dprime, DPRIME_STREAM)
+    above = np.count_nonzero(d > KERNEL_TOTAL) / n
+    if response.beta is not None:
+        values = draws(response.beta, BETA_STREAM) * d
+    else:
+        rr = response.interpolant()
+        d0 = KERNEL_TOTAL - dprime.value
+        values = (rr(d + d0) - float(rr(d0))) * 100.0
+    return np.sort(values), above
+
+
+class TestPropagationKernel:
+    """propagate draws, counts and maps each chunk in place on the pool; the
+    result is the serial whole-array computation, bit for bit."""
+
+    def run(self, case, n):
+        response, dprime = KERNEL_CASES[case]
+        return propagate(response, decompose_anomaly(KERNEL_TOTAL, dprime), SEED, n)
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_pool_matches_serial_reference(self, case, n):
+        dist, above = self.run(case, n)
+        expected, expected_above = serial_propagation(*KERNEL_CASES[case], n)
+        assert np.array_equal(dist.samples, expected)
+        assert above == expected_above
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_chunk_order_does_not_matter(self, case, n):
+        def shuffled(chunks):
+            random.Random(n).shuffle(chunks)
+            return chunks
+
+        dist, _ = self.run(case, n)
+        expected, _ = serial_propagation(*KERNEL_CASES[case], n, order=shuffled)
+        assert np.array_equal(dist.samples, expected)
+
+    def test_concurrent_runs_get_their_own_bits(self):
+        n = 5 * CHUNK_SIZE + 17
+        cases = ("linear", "surface")
+        expected = {case: serial_propagation(*KERNEL_CASES[case], n)[0] for case in cases}
+        mismatches = []
+
+        def runs(case):
+            for _ in range(3):
+                if not np.array_equal(self.run(case, n)[0].samples, expected[case]):
+                    mismatches.append(case)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=runs, args=(case,)) for case in cases * 2]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_exceedance_counts_the_dprime_draws(self, case):
+        n = 5 * CHUNK_SIZE + 17
+        _, above = self.run(case, n)
+        draws = sample(KERNEL_CASES[case][1], RandomStream(SEED, DPRIME_STREAM), n)
+        assert above == np.count_nonzero(draws > KERNEL_TOTAL) / n
+        assert above == anthropogenic_exceedance_fraction(draws, KERNEL_TOTAL)

@@ -42,9 +42,9 @@ def scenario_path(name, tmp_path):
     return path
 
 
-def report_sha256(path, tmp_path, fmt="json"):
+def report_sha256(path, tmp_path, fmt="json", *extra):
     out = tmp_path / f"report.{fmt}"
-    assert main(["report", str(path), "--format", fmt, "--out", str(out)]) == 0
+    assert main(["report", str(path), "--format", fmt, "--out", str(out), *extra]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -74,3 +74,44 @@ def test_bundled_report_bytes(name, fmt, digest, tmp_path):
 def test_surface_report_bytes(tmp_path):
     digest = "af3154d1503af7be6490a83b45b282f81b10f4dfab3f2ced903701d34ac990c2"
     assert report_sha256(scenario_path("golden_surface", tmp_path), tmp_path) == digest
+
+
+#: A point mass on either input, by its dispersion set to 0.
+POINT_MASS_CASES = [
+    ("syria_2010", "dose_response.dispersion=0",
+     "729734a977199b7e1fcffa11f93217da52ed79445a184375783ad9cd558bd6f4"),
+    ("syria_2010", "anthropogenic.dispersion=0",
+     "74352d6bc029071ac5c3b3229710a6b6a7383f173172b7832ba2b96f5848da4c"),
+    ("golden_surface", "anthropogenic.dispersion=0",
+     "1114036683d33124d41ae833b4a35a9f83b5ca2f89273286a4eb6217a453873c"),
+]
+
+
+@pytest.mark.parametrize("name, override, digest", POINT_MASS_CASES,
+                         ids=[f"{name}-{override}" for name, override, _ in POINT_MASS_CASES])
+def test_point_mass_report_bytes(name, override, digest, tmp_path):
+    path = scenario_path(name, tmp_path)
+    assert report_sha256(path, tmp_path, "json", "--set", override) == digest
+
+
+PROPAGATE_CASES = [
+    ("points", "--beta 3.54 --dprime 1.08",
+     "b1e4875a64cfd836a274eb807e0deb5afcbfe5dba542049ab07cdbddc8621e17"),
+    ("normals", "--beta 3.54 --beta-sd 1.2 --dprime 1.08 --dprime-sd 0.37",
+     "2b529cb4a1ac8303c8c920220141dea6e0b4c850bfb5e0c894b043f863b82f65"),
+    ("point-beta", "--beta 3.54 --dprime 1.08 --dprime-sd 0.37 --seed 7 --samples 200003",
+     "261101e6c07222ccb1bd6f26f0c07dc3e3c937223bf01066dcf7741f419f3595"),
+    ("point-dprime", "--beta 3.54 --beta-sd 1.2 --dprime 1.08 --seed 7 --samples 200003",
+     "e76864e436582ba1f260c48c6b7e3db5131d53d45679070044ec41540cd83d2b"),
+    ("normals-short", "--beta 3.54 --beta-sd 1.2 --dprime 1.08 --dprime-sd 0.37 "
+     "--seed 7 --samples 200003",
+     "8aeac978c9bbfb601d45d398b397d6e844a5036341ccf80408dc67a46ccbd7f4"),
+]
+
+
+@pytest.mark.parametrize("flags, digest", [pytest.param(flags, digest, id=name)
+                                           for name, flags, digest in PROPAGATE_CASES])
+def test_propagate_stdout(flags, digest, capsys, monkeypatch):
+    monkeypatch.delenv("ATTRISK_SEED", raising=False)
+    assert main(["propagate", *flags.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -1,10 +1,12 @@
 import json
+import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import attrisk
-from attrisk import scenario
+from attrisk import engine, scenario
 from attrisk.scenario import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -135,6 +137,30 @@ class TestMemoryBound:
             parse(1001)
         assert exc.value.field == f"{block}.{key}"
 
+    @pytest.mark.parametrize("changes", [
+        {},
+        {"dose_response": {"kind": "surface",
+                           "knots": [[0, 1.0], [1, 1.05], [2, 1.15], [3, 1.3], [5, 1.6]]}},
+        {"dose_response": {"kind": "linear", "value": 3.54, "dispersion": 0}},
+    ], ids=["linear", "surface", "point-beta"])
+    def test_run_allocates_one_sample_array(self, changes):
+        # A run holds the one n-array of float64 that _SAMPLE_BYTES counts,
+        # and beyond it only chunk-sized scratch per pool thread.
+        n = 2_000_000
+        cfg = parse_scenario(minimal(**changes, mc={"samples": n}))
+        workers = len(os.sched_getaffinity(0))
+        # Start the pool before measuring.
+        run_scenario(parse_scenario(minimal(**changes, mc={"samples": 2 * CHUNK_SIZE})))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n + 8 * CHUNK_SIZE * (workers + 1) + 2 ** 20
+        assert scenario._SAMPLE_BYTES == 8
+
 
 class TestDigest:
     def test_identical_configs_identical_digests(self):
@@ -201,19 +227,24 @@ class TestRunScenario:
     ])
     def test_each_input_drawn_once(self, monkeypatch, dose_response, draws_per_sample):
         drawn = []
-        original = RandomStream.standard_normal
+        original = RandomStream.generators
 
         def counted(stream, n):
             drawn.append((stream.label, n))
             return original(stream, n)
 
-        monkeypatch.setattr(RandomStream, "standard_normal", counted)
+        monkeypatch.setattr(RandomStream, "generators", counted)
+        built = []
+        build = engine.Pchip
+        monkeypatch.setattr(engine, "Pchip", lambda x, y: built.append(x) or build(x, y))
         n = 2 * CHUNK_SIZE + 3
         run_scenario(parse_scenario(minimal(dose_response=dose_response,
                                             mc={"samples": n})))
         labels = [label for label, _ in drawn]
         assert len(set(labels)) == len(labels)  # no stream is drawn twice
         assert sum(count for _, count in drawn) == draws_per_sample * n
+        # The point estimate and the propagation share one interpolant.
+        assert len(built) == (dose_response["kind"] == "surface")
 
     def test_errors_carry_scenario_name(self):
         cfg = parse_scenario(minimal(

@@ -176,6 +176,14 @@ class TestEmpiricalDistribution:
         with pytest.raises(ValueError):
             dist([1.0, float("nan")])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_nonfinite_anywhere(self, bad):
+        for at in range(5):
+            values = [3.0, -1.0, 2.0, 0.5]
+            values.insert(at, bad)
+            with pytest.raises(ValueError, match="finite"):
+                dist(values)
+
     def test_sorted_on_construction(self):
         d = dist([3, 1, 2])
         assert d.samples.tolist() == [1, 2, 3]
