@@ -17,7 +17,6 @@ from .uq import (  # noqa: E402,F401
 from .engine import (  # noqa: E402,F401
     AnomalyDecomposition,
     DoseResponse,
-    ResponseKind,
     RiskAttribution,
     analytic_product_moments,
     decompose_anomaly,

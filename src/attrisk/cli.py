@@ -151,6 +151,9 @@ def _selftest_checks(cfg, bundle):
 
 def cmd_selftest(args) -> int:
     cfg = _load(args)
+    if cfg.dose_response.beta is None:
+        raise ScenarioError("dose_response: selftest checks the linear beta * D' answers, "
+                            "not a surface", "dose_response")
     checks = _selftest_checks(cfg, run_scenario(cfg))
     for name, value, target, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name:<22} {value:.4f}  (target {target})")

@@ -1,12 +1,14 @@
 """Risk-attribution mathematics.
 
 Splits a climate anomaly into natural and anthropogenic components, maps each
-through a dose-response relationship (linear coefficient or monotone cubic
-response surface), and propagates input uncertainty into a full distribution
-of the anthropogenic excess risk. Excess risk is carried in percent; the
-relative-risk multiplier is dimensionless. An input of dispersion 0 is a point
-mass. ``propagate`` turns each Philox chunk of one n-array into its excess
-risk in place, on the ``uq`` pool.
+through a dose response (a linear coefficient ``beta``, or the monotone cubic
+``rr`` through a relative-risk table of ``knots``; the kind follows from which
+of the two is given), and propagates input uncertainty into a full
+distribution of the anthropogenic excess risk. Excess risk is carried in
+percent; the relative-risk multiplier is dimensionless. An input of dispersion
+0 is a point mass. ``propagate`` turns each Philox chunk of one n-array into
+its excess risk in place, on the ``uq`` pool, and counts the D' draws above
+the total anomaly on the way.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 import warnings
 import copy
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -101,51 +102,32 @@ class Pchip:
         return slope
 
 
-class ResponseKind(Enum):
-    LINEAR = "linear"
-    SURFACE = "surface"
-
-
 @dataclass(frozen=True)
 class DoseResponse:
-    """Dose-response mapping: linear excess-risk coefficient or a tabulated
-    relative-risk surface interpolated by a monotone piecewise cubic."""
+    """Dose-response mapping: a linear excess-risk coefficient ``beta`` or a
+    tabulated relative-risk surface ``knots``, exactly one of the two. A
+    surface's monotone cubic ``rr`` (continuing its end cubics beyond the
+    knots) is built once, so a run's point estimate and propagation share it."""
 
-    kind: ResponseKind
     beta: UncertainScalar | None = None
     knots: tuple[tuple[float, float], ...] = ()
-    # Built once, so a run's point estimate and propagation share it.
-    _interpolant: Pchip | None = field(default=None, init=False, repr=False, compare=False)
+    rr: Pchip | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind is ResponseKind.LINEAR:
-            if self.beta is None:
-                raise ValueError("linear dose-response requires beta")
-        else:
-            if len(self.knots) < 2:
-                raise ValueError("surface needs at least 2 knots")
-            ds = [d for d, _ in self.knots]
-            if any(a >= b for a, b in zip(ds, ds[1:])):
-                raise ValueError("surface knots must be strictly increasing in D")
-            if ds[0] != 0.0 or self.knots[0][1] != 1.0:
-                raise ValueError("surface must start at knot (0, 1): relative risk is 1 at D=0")
-            object.__setattr__(self, "_interpolant",
-                               Pchip(np.array(ds), np.array([rr for _, rr in self.knots])))
-
-    @classmethod
-    def linear(cls, beta: UncertainScalar) -> "DoseResponse":
-        return cls(ResponseKind.LINEAR, beta=beta)
-
-    @classmethod
-    def surface(cls, knots) -> "DoseResponse":
-        return cls(ResponseKind.SURFACE, knots=tuple((float(d), float(rr)) for d, rr in knots))
-
-    def interpolant(self) -> Pchip:
-        """The monotone cubic through the knots; beyond them it continues its
-        end cubics."""
-        if self.kind is not ResponseKind.SURFACE:
-            raise ValueError("interpolant is defined for surface dose-responses only")
-        return self._interpolant
+        if self.beta is not None:
+            if self.knots:
+                raise ValueError("dose-response takes beta or knots, not both")
+            return
+        knots = tuple((float(d), float(rr)) for d, rr in self.knots)
+        if len(knots) < 2:
+            raise ValueError("surface needs at least 2 knots")
+        ds = [d for d, _ in knots]
+        if any(a >= b for a, b in zip(ds, ds[1:])):
+            raise ValueError("surface knots must be strictly increasing in D")
+        if ds[0] != 0.0 or knots[0][1] != 1.0:
+            raise ValueError("surface must start at knot (0, 1): relative risk is 1 at D=0")
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "rr", Pchip(np.array(ds), np.array([rr for _, rr in knots])))
 
 
 @dataclass(frozen=True)
@@ -170,9 +152,9 @@ def integral_attribution(response: DoseResponse, decomp: AnomalyDecomposition) -
     """Excess risk as the integral of the surface slope over each component.
 
     The slope integrates over [0, D0] and [D0, D0+D'] to the differences of
-    the interpolant itself, rr(D0) - rr(0) and rr(D0+D') - rr(D0).
+    the surface rr itself, rr(D0) - rr(0) and rr(D0+D') - rr(D0).
     """
-    if response.kind is not ResponseKind.SURFACE:
+    if response.beta is not None:
         raise ValueError("integral_attribution requires a surface dose-response")
     d0 = decomp.natural
     d_total = decomp.natural + decomp.anthropogenic.value
@@ -183,7 +165,7 @@ def integral_attribution(response: DoseResponse, decomp: AnomalyDecomposition) -
         raise DomainCoverageError(
             f"anomaly {d_total} exceeds the last surface knot at D={last}")
 
-    rr = response.interpolant()
+    rr = response.rr
     natural = 100.0 * (float(rr(d0)) - float(rr(0.0)))
     anthropogenic = 100.0 * (float(rr(d_total)) - float(rr(d0)))
     return RiskAttribution(natural, anthropogenic, 1.0 + (natural + anthropogenic) / 100.0)
@@ -195,7 +177,7 @@ def propagate_attribution(beta: UncertainScalar, dprime: UncertainScalar,
     the inputs drawn from fixed-label substreams of the single seed."""
     # A total of at least D' warns of nothing and does not enter beta * D'.
     decomp = decompose_anomaly(max(dprime.value, 0.0), dprime)
-    return propagate(DoseResponse.linear(beta), decomp, seed, n)[0]
+    return propagate(DoseResponse(beta=beta), decomp, seed, n)[0]
 
 
 # Values per PCHIP call in a chunk: its temporaries stay below a chunk's size.
@@ -209,11 +191,10 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
     of D' draws above the total anomaly. Each chunk of one n-array is drawn,
     counted and mapped in place on the pool, then the array is sorted."""
     draw_dprime = chunk_sampler(decomp.anthropogenic, RandomStream(seed, DPRIME_STREAM), n)
-    beta = response.beta
+    beta, rr = response.beta, response.rr
     if beta is not None:
         draw_beta = chunk_sampler(beta, RandomStream(seed, BETA_STREAM), n)
     else:
-        rr = response.interpolant()
         rr0 = float(rr(decomp.natural))
 
     def finish(i: int, chunk: np.ndarray) -> int:
@@ -225,8 +206,6 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
                 chunk[lo:lo + _PCHIP_BLOCK] = rr(chunk[lo:lo + _PCHIP_BLOCK])
             chunk -= rr0
             chunk *= 100.0
-        elif beta.dispersion == 0:
-            chunk *= beta.value
         else:
             betas = np.empty(chunk.size)
             draw_beta(i, betas)
@@ -236,12 +215,6 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
     out = np.empty(n)
     above = sum(map_chunks(finish, out))
     return EmpiricalDistribution._from_owned(out), above / n
-
-
-def anthropogenic_exceedance_fraction(dprime_draws: np.ndarray, total: float) -> float:
-    """Fraction of D' draws exceeding the total anomaly (negative-D0 draws):
-    what ``propagate`` counts chunk by chunk, for draws held whole."""
-    return np.count_nonzero(dprime_draws > total) / dprime_draws.size
 
 
 def analytic_product_moments(a: UncertainScalar, b: UncertainScalar) -> tuple[float, float]:

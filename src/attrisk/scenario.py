@@ -20,7 +20,6 @@ import yaml
 from . import __version__
 from .engine import (
     DoseResponse,
-    ResponseKind,
     RiskAttribution,
     decompose_anomaly,
     integral_attribution,
@@ -91,10 +90,9 @@ class ScenarioConfig:
 
     def canonical_dict(self) -> dict:
         """Fully-defaulted, fixed-order plain-dict form of the config."""
-        if self.dose_response.kind is ResponseKind.LINEAR:
-            dr = {"kind": "linear",
-                  "value": self.dose_response.beta.value,
-                  "dispersion": self.dose_response.beta.dispersion}
+        beta = self.dose_response.beta
+        if beta is not None:
+            dr = {"kind": "linear", "value": beta.value, "dispersion": beta.dispersion}
         else:
             dr = {"kind": "surface",
                   "knots": [[d, rr] for d, rr in self.dose_response.knots]}
@@ -172,7 +170,7 @@ def _dose_response(mapping) -> DoseResponse:
     kind = m.get("kind", "linear")
     if kind == "linear":
         _check_keys(m, {"kind", "value", "dispersion"}, path)
-        return DoseResponse.linear(_uncertain({k: v for k, v in m.items() if k != "kind"}, path))
+        return DoseResponse(beta=_uncertain({k: v for k, v in m.items() if k != "kind"}, path))
     if kind == "surface":
         _check_keys(m, {"kind", "knots"}, path)
         knots = m.get("knots")
@@ -181,7 +179,7 @@ def _dose_response(mapping) -> DoseResponse:
             raise ScenarioError(f"{path}.knots: expected a list of [D, relative_risk] pairs",
                                 f"{path}.knots")
         try:
-            return DoseResponse.surface(knots)
+            return DoseResponse(knots=knots)
         except ValueError as exc:
             raise ScenarioError(f"{path}.knots: {exc}", f"{path}.knots") from exc
     raise ScenarioError(f"{path}.kind: must be 'linear' or 'surface', got {kind!r}",
@@ -275,6 +273,8 @@ def load_scenario(path, overrides: dict[str, object] | None = None,
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except PermissionError as exc:
+        raise ParseError(f"{path}: not readable: {exc.strerror}") from exc
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -312,7 +312,7 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
     """
     try:
         decomp = decompose_anomaly(cfg.anomaly_total, cfg.anthropogenic)
-        if cfg.dose_response.kind is ResponseKind.LINEAR:
+        if cfg.dose_response.beta is not None:
             attribution = linear_attribution(cfg.dose_response.beta.value, decomp)
         else:
             attribution = integral_attribution(cfg.dose_response, decomp)
@@ -360,14 +360,8 @@ def _bundle_dict(r: ReportBundle) -> dict:
         "p_value": _sig12(r.p_value),
         "quantiles": [[_sig12(q), _sig12(v)] for q, v in r.quantiles],
         "histogram": [[_sig12(lo), _sig12(hi), count] for lo, hi, count in r.histogram],
-        "provenance": {
-            "seed": r.provenance["seed"],
-            "samples": r.provenance["samples"],
-            "config_digest": r.provenance["config_digest"],
-            "tool_version": r.provenance["tool_version"],
-            "anthropogenic_draws_above_total_fraction":
-                _sig12(r.provenance["anthropogenic_draws_above_total_fraction"]),
-        },
+        "provenance": {key: _sig12(v) if isinstance(v, float) else v
+                       for key, v in r.provenance.items()},
     }
 
 

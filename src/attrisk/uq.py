@@ -89,14 +89,6 @@ class RandomStream:
         return [Generator(Philox(SeedSequence(self.seed, spawn_key=(self.label, i))))
                 for i in range(-(-n // CHUNK_SIZE))]
 
-    def standard_normal(self, n: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        out = np.empty(n)
-        gens = self.generators(n)
-        map_chunks(lambda i, chunk: gens[i].standard_normal(out=chunk), out)
-        return out
-
 
 def chunk_sampler(q: UncertainScalar, stream: RandomStream,
                   n: int) -> Callable[[int, np.ndarray], None]:
@@ -158,7 +150,14 @@ class EmpiricalDistribution:
 
     @property
     def variance(self) -> float:
-        return float(self.samples.var())
+        """Population variance, its squared deviations summed per chunk so no
+        n-sized temporary is made."""
+        mean = self.samples.mean()
+        total = 0.0
+        for lo in range(0, self.samples.size, CHUNK_SIZE):
+            dev = self.samples[lo:lo + CHUNK_SIZE] - mean
+            total += float(np.dot(dev, dev))
+        return total / self.samples.size
 
 
 @dataclass(frozen=True)

@@ -103,14 +103,14 @@ def test_criterion_6_analytic_mc_agreement(syria_dist):
 
 def test_criterion_7_linearization_equivalence():
     decomp = decompose_anomaly(2.48, DPRIME)
-    linear_surface = DoseResponse.surface([(d, 1 + 0.0354 * d) for d in range(4)])
+    linear_surface = DoseResponse(knots=[(d, 1 + 0.0354 * d) for d in range(4)])
     got = integral_attribution(linear_surface, decomp)
     want = linear_attribution(3.54, decomp)
     assert got.natural_excess == pytest.approx(want.natural_excess, rel=1e-9)
     assert got.anthropogenic_excess == pytest.approx(want.anthropogenic_excess, rel=1e-9)
 
-    quad_surface = DoseResponse.surface(
-        [(d, 1 + 0.01 * d ** 2) for d in np.arange(0, 3.01, 0.5)])
+    quad_surface = DoseResponse(
+        knots=[(d, 1 + 0.01 * d ** 2) for d in np.arange(0, 3.01, 0.5)])
     quad_decomp = decompose_anomaly(2.0, UncertainScalar(1.0))
     attr = integral_attribution(quad_surface, quad_decomp)
     assert attr.natural_excess == pytest.approx(1.0, rel=1e-8)

@@ -67,6 +67,17 @@ class TestAttribute:
         assert out == ""
         assert str(path) in err
 
+    def test_unreadable_file_is_usage_error(self, capsys, monkeypatch):
+        # The suite may run as root, which reads any file: deny the open instead.
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(scenario, "open", denied, raising=False)
+        code, out, err = run(capsys, "attribute", SYRIA)
+        assert code == 2
+        assert out == ""
+        assert SYRIA in err and "not readable" in err
+
     def test_bad_override_path_is_usage_error(self, capsys):
         code, _, err = run(capsys, "attribute", SYRIA, "--set", "mc.sede=7")
         assert code == 2
@@ -250,6 +261,19 @@ class TestSelftest:
             "natural_point", "anthropogenic_point", "median", "p05", "p95",
             "null_rejection", "mc_moments"]
         assert lines[6].startswith("PASS")
+
+    def test_surface_scenario_is_usage_error(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a sampler was reached")
+
+        for owner, name in [(engine, "map_chunks"), (RandomStream, "generators")]:
+            monkeypatch.setattr(owner, name, unreachable)
+        code, out, err = run(capsys, "selftest", "--set",
+                             "dose_response={kind: surface, knots: [[0, 1], [3, 1.2]]}",
+                             "--samples", "20000")
+        assert code == 2
+        assert out == ""
+        assert "dose_response" in err
 
 
 #: The syria_2010 inputs as propagate flags, and a run of several Philox chunks.

@@ -15,7 +15,6 @@ from attrisk.engine import (
     DoseResponse,
     SignConventionError,
     analytic_product_moments,
-    anthropogenic_exceedance_fraction,
     decompose_anomaly,
     integral_attribution,
     linear_attribution,
@@ -122,22 +121,50 @@ class TestLinearAttribution:
 class TestSurface:
     def test_knots_must_increase(self):
         with pytest.raises(ValueError):
-            DoseResponse.surface([(0, 1.0), (1, 1.1), (1, 1.2)])
+            DoseResponse(knots=[(0, 1.0), (1, 1.1), (1, 1.2)])
 
     def test_must_anchor_unit_risk_at_zero(self):
         with pytest.raises(ValueError):
-            DoseResponse.surface([(0, 1.1), (1, 1.2)])
+            DoseResponse(knots=[(0, 1.1), (1, 1.2)])
         with pytest.raises(ValueError):
-            DoseResponse.surface([(0.5, 1.0), (1, 1.2)])
+            DoseResponse(knots=[(0.5, 1.0), (1, 1.2)])
 
     def test_needs_two_knots(self):
         with pytest.raises(ValueError):
-            DoseResponse.surface([(0, 1.0)])
+            DoseResponse(knots=[(0, 1.0)])
+
+
+class TestDoseResponse:
+    """The kind follows from the data: beta or knots, exactly one of the two."""
+
+    def test_beta_and_knots_together_are_rejected(self):
+        # The split model: a point estimate from the surface and a
+        # distribution from beta * D', under one config.
+        with pytest.raises(ValueError, match="beta or knots"):
+            DoseResponse(beta=BETA, knots=((0, 1), (3, 1.2)))
+
+    @pytest.mark.parametrize("given", [{}, {"knots": ()}, {"knots": [(0, 1.0)]}],
+                             ids=["neither", "no-knots", "one-knot"])
+    def test_fewer_than_two_knots_is_rejected(self, given):
+        with pytest.raises(ValueError, match="surface needs at least 2 knots"):
+            DoseResponse(**given)
+
+    def test_linear_has_no_surface(self):
+        linear = DoseResponse(beta=BETA)
+        assert (linear.knots, linear.rr) == ((), None)
+
+    def test_knots_become_float_tuples(self):
+        surface = DoseResponse(knots=[[0, 1], [3, 1.2]])
+        assert surface.knots == ((0.0, 1.0), (3.0, 1.2))
+        assert all(type(v) is float for knot in surface.knots for v in knot)
+        assert surface.beta is None
+        assert float(surface.rr(3.0)) == 1.2
+        assert surface == DoseResponse(knots=((0.0, 1.0), (3.0, 1.2)))
 
 
 class TestIntegralAttribution:
     def test_linear_surface_reduces_to_linear_form(self):
-        surface = DoseResponse.surface([(d, 1 + 0.0354 * d) for d in range(4)])
+        surface = DoseResponse(knots=[(d, 1 + 0.0354 * d) for d in range(4)])
         decomp = decompose_anomaly(2.48, DPRIME)
         got = integral_attribution(surface, decomp)
         want = linear_attribution(3.54, decomp)
@@ -145,7 +172,7 @@ class TestIntegralAttribution:
         assert got.anthropogenic_excess == pytest.approx(want.anthropogenic_excess, rel=1e-9)
 
     def test_flat_surface(self):
-        surface = DoseResponse.surface([(0, 1.0), (1, 1.0), (3, 1.0)])
+        surface = DoseResponse(knots=[(0, 1.0), (1, 1.0), (3, 1.0)])
         decomp = decompose_anomaly(2.0, UncertainScalar(1.0))
         attr = integral_attribution(surface, decomp)
         assert (attr.natural_excess, attr.anthropogenic_excess) == (0.0, 0.0)
@@ -154,14 +181,14 @@ class TestIntegralAttribution:
     def test_quadratic_surface_matches_closed_form(self):
         # integral of d/dD (1 + 0.01 D^2) = 0.02 D over [0,1] and [1,2]
         knots = [(d, 1 + 0.01 * d ** 2) for d in np.arange(0, 3.01, 0.5)]
-        surface = DoseResponse.surface(knots)
+        surface = DoseResponse(knots=knots)
         decomp = decompose_anomaly(2.0, UncertainScalar(1.0))
         attr = integral_attribution(surface, decomp)
         assert attr.natural_excess == pytest.approx(1.0, rel=1e-8)
         assert attr.anthropogenic_excess == pytest.approx(3.0, rel=1e-8)
 
     def test_domain_coverage(self):
-        surface = DoseResponse.surface([(0, 1.0), (1, 1.05)])
+        surface = DoseResponse(knots=[(0, 1.0), (1, 1.05)])
         decomp = decompose_anomaly(2.0, UncertainScalar(1.0))
         with pytest.raises(DomainCoverageError):
             integral_attribution(surface, decomp)
@@ -169,14 +196,14 @@ class TestIntegralAttribution:
     def test_requires_surface_kind(self):
         decomp = decompose_anomaly(2.0, UncertainScalar(1.0))
         with pytest.raises(ValueError):
-            integral_attribution(DoseResponse.linear(BETA), decomp)
+            integral_attribution(DoseResponse(beta=BETA), decomp)
 
     def test_plateau_step_surface(self):
         # The slope is 0 at every knot; an adaptive quadrature scaled by the
         # knot slopes alone never terminates on this table.
-        surface = DoseResponse.surface([(0, 1), (0.890827323040865, 1),
-                                        (1.78165464608173, 1.1730171374637992),
-                                        (2.672481969122595, 1.1730171374637992)])
+        surface = DoseResponse(knots=[(0, 1), (0.890827323040865, 1),
+                                      (1.78165464608173, 1.1730171374637992),
+                                      (2.672481969122595, 1.1730171374637992)])
         decomp = decompose_anomaly(2.5318607043073036, UncertainScalar(0.1))
         attr = integral_attribution(surface, decomp)
         assert attr.natural_excess == pytest.approx(17.30171374637992, rel=1e-12)
@@ -191,7 +218,7 @@ class TestIntegralAttribution:
         for dx, dy in steps:
             d, r = knots[-1]
             knots.append((d + dx, r - dy if falling else r + dy))
-        surface = DoseResponse.surface(knots)
+        surface = DoseResponse(knots=knots)
         last = knots[-1][0]
         total = total_at * last
         decomp = decompose_anomaly(total, UncertainScalar(dprime_at * total))
@@ -200,7 +227,7 @@ class TestIntegralAttribution:
         assume(d_total <= last)
 
         attr = integral_attribution(surface, decomp)
-        slope = surface.interpolant().derivative()
+        slope = surface.rr.derivative()
         knot_ds = [d for d, _ in knots]
         natural = 100.0 * integrate_adaptive(slope, 0.0, d0, knot_ds)
         anthropogenic = 100.0 * integrate_adaptive(slope, d0, d_total, knot_ds)
@@ -276,8 +303,8 @@ class TestPropagation:
         assert abs(d.variance - var) < 10 * var / math.sqrt(d.sample_count)
 
     def test_exceedance_fraction_matches_propagation_draws(self):
-        draws = sample(DPRIME, RandomStream(SEED, DPRIME_STREAM), 1_000_000)
-        frac = anthropogenic_exceedance_fraction(draws, 2.48)
+        frac = propagate(DoseResponse(beta=BETA), decompose_anomaly(2.48, DPRIME),
+                         SEED, 1_000_000)[1]
         # P(N(1.08, 0.37) > 2.48) = 1 - Phi(1.4/0.37) ~ 7.7e-5
         oracle = 0.5 * math.erfc((2.48 - 1.08) / 0.37 / math.sqrt(2))
         assert abs(frac - oracle) < 5e-4
@@ -305,13 +332,13 @@ class TestAnalyticProductMoments:
         assert (mean, var) == (3.54 * 1.08, 1.08 ** 2 * 1.2 ** 2)
 
 
-SURFACE = DoseResponse.surface([(0, 1), (1, 1.05), (2, 1.15), (3, 1.3), (5, 1.6)])
+SURFACE = DoseResponse(knots=[(0, 1), (1, 1.05), (2, 1.15), (3, 1.3), (5, 1.6)])
 
 #: (dose-response, D') pairs: normals, and a point mass on either input.
 KERNEL_CASES = {
-    "linear": (DoseResponse.linear(BETA), DPRIME),
-    "linear-point-beta": (DoseResponse.linear(UncertainScalar(3.54)), DPRIME),
-    "linear-point-dprime": (DoseResponse.linear(BETA), UncertainScalar(1.08)),
+    "linear": (DoseResponse(beta=BETA), DPRIME),
+    "linear-point-beta": (DoseResponse(beta=UncertainScalar(3.54)), DPRIME),
+    "linear-point-dprime": (DoseResponse(beta=BETA), UncertainScalar(1.08)),
     "surface": (SURFACE, UncertainScalar(1.2, 0.5)),
     "surface-point-dprime": (SURFACE, UncertainScalar(1.2)),
 }
@@ -339,7 +366,7 @@ def serial_propagation(response, dprime, n, order=None):
     if response.beta is not None:
         values = draws(response.beta, BETA_STREAM) * d
     else:
-        rr = response.interpolant()
+        rr = response.rr
         d0 = KERNEL_TOTAL - dprime.value
         values = (rr(d + d0) - float(rr(d0))) * 100.0
     return np.sort(values), above
@@ -402,4 +429,3 @@ class TestPropagationKernel:
         _, above = self.run(case, n)
         draws = sample(KERNEL_CASES[case][1], RandomStream(SEED, DPRIME_STREAM), n)
         assert above == np.count_nonzero(draws > KERNEL_TOTAL) / n
-        assert above == anthropogenic_exceedance_fraction(draws, KERNEL_TOTAL)

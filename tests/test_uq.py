@@ -3,6 +3,7 @@ import multiprocessing
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from attrisk.uq import (
 )
 
 SEED = 20150302
+NORMAL = UncertainScalar(0.0, 1.0)
 
 
 def dist(values):
@@ -77,19 +79,19 @@ class TestSampling:
         assert abs((draws <= 0).mean() - expected) < 0.0005
 
     def test_same_seed_bit_identical(self):
-        a = RandomStream(42, 1).standard_normal(100_000)
-        b = RandomStream(42, 1).standard_normal(100_000)
+        a = sample(NORMAL, RandomStream(42, 1), 100_000)
+        b = sample(NORMAL, RandomStream(42, 1), 100_000)
         assert np.array_equal(a, b)
 
     def test_prefix_independent_of_total_count(self):
         # the i-th draw depends only on (seed, label, i), not on n
-        short = RandomStream(42, 1).standard_normal(1000)
-        long = RandomStream(42, 1).standard_normal(CHUNK_SIZE + 5000)
+        short = sample(NORMAL, RandomStream(42, 1), 1000)
+        long = sample(NORMAL, RandomStream(42, 1), CHUNK_SIZE + 5000)
         assert np.array_equal(short, long[:1000])
 
     def test_distinct_labels_are_distinct_streams(self):
-        a = RandomStream(42, 1).standard_normal(1000)
-        b = RandomStream(42, 2).standard_normal(1000)
+        a = sample(NORMAL, RandomStream(42, 1), 1000)
+        b = sample(NORMAL, RandomStream(42, 2), 1000)
         assert not np.array_equal(a, b)
 
 
@@ -106,7 +108,7 @@ def serial_chunks(seed, label, n, order=None):
 
 
 def _draw_in_child(n):
-    return RandomStream(7, 1).standard_normal(n).tobytes()
+    return sample(NORMAL, RandomStream(7, 1), n).tobytes()
 
 
 class TestChunkParallel:
@@ -114,7 +116,7 @@ class TestChunkParallel:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_pool_matches_serial_reference(self, n):
-        assert np.array_equal(RandomStream(SEED, 1).standard_normal(n),
+        assert np.array_equal(sample(NORMAL, RandomStream(SEED, 1), n),
                               serial_chunks(SEED, 1, n))
 
     @pytest.mark.parametrize("n", SIZES)
@@ -123,7 +125,7 @@ class TestChunkParallel:
             random.Random(n).shuffle(chunks)
             return chunks
 
-        assert np.array_equal(RandomStream(SEED, 2).standard_normal(n),
+        assert np.array_equal(sample(NORMAL, RandomStream(SEED, 2), n),
                               serial_chunks(SEED, 2, n, order=shuffled))
 
     def test_concurrent_callers_get_their_own_bits(self):
@@ -133,7 +135,7 @@ class TestChunkParallel:
 
         def draw(label):
             for _ in range(5):
-                if not np.array_equal(RandomStream(SEED, label).standard_normal(n),
+                if not np.array_equal(sample(NORMAL, RandomStream(SEED, label), n),
                                       expected[label]):
                     mismatches.append(label)
 
@@ -156,12 +158,12 @@ class TestChunkParallel:
             raise AssertionError("a single chunk must not use the pool")
 
         monkeypatch.setattr(uq, "_pool", no_pool)
-        assert np.array_equal(RandomStream(SEED, 1).standard_normal(CHUNK_SIZE),
+        assert np.array_equal(sample(NORMAL, RandomStream(SEED, 1), CHUNK_SIZE),
                               serial_chunks(SEED, 1, CHUNK_SIZE))
 
     def test_forked_child_can_draw(self):
         n = 2 * CHUNK_SIZE + 1
-        RandomStream(7, 1).standard_normal(n)  # the parent's pool now exists
+        sample(NORMAL, RandomStream(7, 1), n)  # the parent's pool now exists
         with multiprocessing.get_context("fork").Pool(1) as pool:
             got = pool.apply_async(_draw_in_child, (n,)).get(timeout=60)
         assert got == serial_chunks(7, 1, n).tobytes()
@@ -194,6 +196,22 @@ class TestEmpiricalDistribution:
         d = dist(values)
         assert values.tolist() == [3.0, 1.0, 2.0]
         assert not d.samples.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, CHUNK_SIZE + 1, 1_000_000])
+    def test_variance_matches_numpy(self, n):
+        d = dist(sample(UncertainScalar(3.54, 1.2), RandomStream(SEED, 4), n))
+        assert d.variance == pytest.approx(np.var(d.samples), rel=1e-12, abs=0)
+
+    def test_variance_makes_no_n_sized_temporary(self):
+        d = dist(sample(NORMAL, RandomStream(SEED, 4), 1_000_000))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            d.variance
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * CHUNK_SIZE + 64 * 1024
 
 
 class TestPercentile:
