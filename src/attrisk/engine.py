@@ -8,7 +8,9 @@ distribution of the anthropogenic excess risk. Excess risk is carried in
 percent; the relative-risk multiplier is dimensionless. An input of dispersion
 0 is a point mass. ``propagate`` turns each Philox chunk of one n-array into
 its excess risk in place, on the ``uq`` pool, and counts the D' draws above
-the total anomaly on the way.
+the total anomaly on the way. A surface run sorts D0 + D' before it maps it,
+so each chunk evaluates whole pieces of the cubic, and its excess is sorted
+again only if the map breaks its order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .uq import EmpiricalDistribution, RandomStream, UncertainScalar, chunk_sampler, map_chunks
+from .uq import (
+    CHUNK_SIZE,
+    EmpiricalDistribution,
+    RandomStream,
+    UncertainScalar,
+    chunk_sampler,
+    map_chunks,
+)
 
 # Stream labels deriving the two independent input streams from one seed.
 BETA_STREAM = 1
@@ -74,7 +83,9 @@ class Pchip:
         if x.size > 2:
             w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
             flat_or_turning = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # A zero slope divides by 0 and a subnormal one overflows; np.where
+            # drops the first, and the second's inf mean gives the slope 0.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 d[1:-1] = np.where(flat_or_turning, 0.0,
                                    1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
             # Moler's one-sided three-point ends, kept shape-preserving.
@@ -93,6 +104,29 @@ class Pchip:
         s = v - self.x[i]
         ss = s * s
         return ((c3[i] + c2[i] * s) + c1[i] * ss) + c0[i] * (ss * s)
+
+    def map_sorted(self, v: np.ndarray) -> None:
+        """``v[:] = self(v)`` for non-decreasing v, bit for bit: each piece's
+        run of v at once, with its four scalar coefficients and two v-sized
+        scratch arrays."""
+        a, b = np.empty((2, v.size))
+        # Piece p starts at the first value at or above inner knot x[p].
+        ends = np.searchsorted(v, self.x[1:-1], side="left").tolist() + [v.size]
+        start = 0
+        for p, end in enumerate(ends):
+            if end > start:
+                c0, c1, c2, c3 = self.c[:, p].tolist()
+                y, s, ss = v[start:end], a[:end - start], b[:end - start]
+                np.subtract(y, self.x[p], out=s)
+                np.multiply(s, s, out=ss)
+                np.multiply(s, c2, out=y)
+                y += c3
+                s *= ss
+                ss *= c1
+                y += ss
+                s *= c0
+                y += s
+            start = end
 
     def derivative(self) -> "Pchip":
         """The slope, whose integral over an interval is the cubic's difference."""
@@ -180,8 +214,9 @@ def propagate_attribution(beta: UncertainScalar, dprime: UncertainScalar,
     return propagate(DoseResponse(beta=beta), decomp, seed, n)[0]
 
 
-# Values per PCHIP call in a chunk: its temporaries stay below a chunk's size.
-_PCHIP_BLOCK = 8192
+def _ascending(a: np.ndarray) -> bool:
+    """Whether a is non-decreasing (never, if it holds a NaN)."""
+    return bool(np.all(a[:-1] <= a[1:]))
 
 
 def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
@@ -189,23 +224,21 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
     """The anthropogenic excess risk, beta_i * D'_i or 100 * (rr(D0 + D'_i) - rr(D0))
     from n draws of D' (DPRIME_STREAM) and beta (BETA_STREAM), and the fraction
     of D' draws above the total anomaly. Each chunk of one n-array is drawn,
-    counted and mapped in place on the pool, then the array is sorted."""
+    counted and turned into its product or D0 + D' in place on the pool. A
+    product array is then sorted. D0 + D' is sorted before the map instead, so
+    each chunk maps whole pieces of rr; the excess is sorted again only if that
+    breaks its order (a falling or turning surface, draws past the knots, or
+    rounding at a knot)."""
     draw_dprime = chunk_sampler(decomp.anthropogenic, RandomStream(seed, DPRIME_STREAM), n)
     beta, rr = response.beta, response.rr
     if beta is not None:
         draw_beta = chunk_sampler(beta, RandomStream(seed, BETA_STREAM), n)
-    else:
-        rr0 = float(rr(decomp.natural))
 
-    def finish(i: int, chunk: np.ndarray) -> int:
+    def draw(i: int, chunk: np.ndarray) -> int:
         draw_dprime(i, chunk)
         above = np.count_nonzero(chunk > decomp.total)
         if beta is None:
             chunk += decomp.natural
-            for lo in range(0, chunk.size, _PCHIP_BLOCK):
-                chunk[lo:lo + _PCHIP_BLOCK] = rr(chunk[lo:lo + _PCHIP_BLOCK])
-            chunk -= rr0
-            chunk *= 100.0
         else:
             betas = np.empty(chunk.size)
             draw_beta(i, betas)
@@ -213,8 +246,25 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
         return above
 
     out = np.empty(n)
-    above = sum(map_chunks(finish, out))
-    return EmpiricalDistribution._from_owned(out), above / n
+    above = sum(map_chunks(draw, out))
+    if beta is not None:
+        return EmpiricalDistribution._from_owned(out), above / n
+
+    out.sort()
+    rr0 = float(rr(decomp.natural))
+
+    def excess(i: int, chunk: np.ndarray) -> bool:
+        # Mapped in halves, map_sorted's scratch is one chunk per thread.
+        half = -(-chunk.size // 2)
+        rr.map_sorted(chunk[:half])
+        rr.map_sorted(chunk[half:])
+        chunk -= rr0
+        chunk *= 100.0
+        return _ascending(chunk)
+
+    ordered = all(map_chunks(excess, out)) and all(
+        out[lo - 1] <= out[lo] for lo in range(CHUNK_SIZE, n, CHUNK_SIZE))
+    return EmpiricalDistribution._from_owned(out, ordered=ordered), above / n
 
 
 def analytic_product_moments(a: UncertainScalar, b: UncertainScalar) -> tuple[float, float]:

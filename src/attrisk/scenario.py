@@ -130,17 +130,25 @@ def _check_keys(mapping: dict, allowed: set[str], path: str):
         raise UnknownKeyError(f"unknown key: {where}", where)
 
 
+def _finite(v, path) -> float:
+    """v as a float, if it is a finite number (not a bool or a quoted number)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ScenarioError(f"{path}: expected a number, got {v!r}", path)
+    try:
+        f = float(v)
+    except OverflowError:  # an int beyond the float range
+        f = math.inf
+    if not math.isfinite(f):
+        raise ScenarioError(f"{path}: must be finite, got {v}", path)
+    return f
+
+
 def _number(mapping, key, path, default=None, required=False):
     if key not in mapping:
         if required:
             raise ScenarioError(f"missing required field: {path}", path)
         return default
-    v = mapping[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{path}: expected a number, got {v!r}", path)
-    if not math.isfinite(v):
-        raise ScenarioError(f"{path}: must be finite, got {v}", path)
-    return float(v)
+    return _finite(mapping[key], path)
 
 
 def _uncertain(mapping, path) -> UncertainScalar:
@@ -178,6 +186,7 @@ def _dose_response(mapping) -> DoseResponse:
                 not isinstance(k, list) or len(k) != 2 for k in knots or []):
             raise ScenarioError(f"{path}.knots: expected a list of [D, relative_risk] pairs",
                                 f"{path}.knots")
+        knots = [[_finite(v, f"{path}.knots") for v in knot] for knot in knots]
         try:
             return DoseResponse(knots=knots)
         except ValueError as exc:

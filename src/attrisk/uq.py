@@ -129,12 +129,14 @@ class EmpiricalDistribution:
         return cls._from_owned(np.array(samples, dtype=float))
 
     @classmethod
-    def _from_owned(cls, arr: np.ndarray) -> "EmpiricalDistribution":
-        """Finalize a float array no one else holds: sorted in place, then frozen."""
+    def _from_owned(cls, arr: np.ndarray, ordered: bool = False) -> "EmpiricalDistribution":
+        """Finalize a float array no one else holds: sorted in place, unless the
+        caller found each value at most the next (so none is NaN), then frozen."""
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("need at least 2 samples")
-        arr.sort()
-        # The sort puts -inf first and +inf and NaN last, so the ends tell.
+        if not ordered:
+            arr.sort()
+        # In order, -inf comes first and +inf and NaN last, so the ends tell.
         if not (np.isfinite(arr[0]) and np.isfinite(arr[-1])):
             raise ValueError("samples must be finite")
         arr.flags.writeable = False

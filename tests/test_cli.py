@@ -83,6 +83,17 @@ class TestAttribute:
         assert code == 2
         assert "mc.sede" in err
 
+    @pytest.mark.parametrize("knot, message", [
+        ("[3, null]", "expected a number, got None"),
+        ("[3, .inf]", "must be finite, got inf"),
+    ], ids=["null", "inf"])
+    def test_bad_knot_is_usage_error(self, capsys, knot, message):
+        code, out, err = run(capsys, "report", SYRIA, "--set",
+                             f"dose_response={{kind: surface, knots: [[0, 1], {knot}]}}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: dose_response.knots: {message}\n"
+
     def test_malformed_set_flag(self, capsys):
         code, _, err = run(capsys, "attribute", SYRIA, "--set", "noequals")
         assert code == 2

@@ -5,9 +5,10 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
+from attrisk import engine
 from attrisk.engine import (
     BETA_STREAM,
     DPRIME_STREAM,
@@ -22,7 +23,7 @@ from attrisk.engine import (
     propagate,
     propagate_attribution,
 )
-from attrisk.uq import CHUNK_SIZE, RandomStream, UncertainScalar, sample
+from attrisk.uq import CHUNK_SIZE, EmpiricalDistribution, RandomStream, UncertainScalar, sample
 
 SEED = 20150302
 
@@ -236,28 +237,62 @@ class TestIntegralAttribution:
         assert abs(attr.anthropogenic_excess - anthropogenic) <= bound
 
 
+#: Knot tables of 2-8 knots from (0, 1): each step (dx, dy, up) rises by dy,
+#: falls by dy, or (mixed) goes the way ``up`` says; and probes to evaluate at.
+KNOT_STEPS = st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(0.0, 0.5), st.booleans()),
+                      min_size=1, max_size=7)
+KNOT_SHAPES = st.sampled_from(["rising", "falling", "mixed"])
+PROBES = st.lists(st.floats(-3.0, 3.0), max_size=20)
+#: A last step of a subnormal size, whose knot-slope mean overflows.
+SUBNORMAL_SLOPE = example(steps=[(1.0, 0.5, False), (1.0, 0.25, False), (1.0, 0.25, False),
+                                 (1.0, 1.1125369292536007e-308, False)],
+                          shape="falling", probes=[])
+
+
+def knot_table(steps, shape, probes):
+    """The knots x, y, and values at the knots, between them, beyond both ends
+    and at the probes (scaled to the knot span)."""
+    xs, ys = [0.0], [1.0]
+    for dx, dy, up in steps:
+        xs.append(xs[-1] + dx)
+        ys.append(ys[-1] + (dy if shape == "rising" or shape == "mixed" and up else -dy))
+    x, y = np.array(xs), np.array(ys)
+    v = np.concatenate((x, (x[1:] + x[:-1]) / 2, x[0] - np.array([1e-9, 0.5, 3.0]),
+                        x[-1] + np.array([1e-9, 0.5, 3.0]),
+                        x[0] + (np.array(probes) + 0.5) * (x[-1] - x[0])))
+    return x, y, v
+
+
 class TestPchip:
     """The numpy PCHIP is scipy's PchipInterpolator, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
-    @given(steps=st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(0.0, 0.5),
-                                    st.booleans()), min_size=1, max_size=7),
-           shape=st.sampled_from(["rising", "falling", "mixed"]),
-           probes=st.lists(st.floats(-3.0, 3.0), max_size=20))
+    @given(steps=KNOT_STEPS, shape=KNOT_SHAPES, probes=PROBES)
+    @SUBNORMAL_SLOPE
     def test_matches_scipy(self, steps, shape, probes):
         scipy_interpolate = pytest.importorskip("scipy.interpolate")
-        xs, ys = [0.0], [1.0]
-        for dx, dy, up in steps:
-            xs.append(xs[-1] + dx)
-            ys.append(ys[-1] + (dy if shape == "rising" or shape == "mixed" and up else -dy))
-        x, y = np.array(xs), np.array(ys)
-        ours, theirs = Pchip(x, y), scipy_interpolate.PchipInterpolator(x, y)
-        # The knots, between them, and beyond both ends.
-        v = np.concatenate((x, (x[1:] + x[:-1]) / 2, x[0] - np.array([1e-9, 0.5, 3.0]),
-                            x[-1] + np.array([1e-9, 0.5, 3.0]),
-                            x[0] + (np.array(probes) + 0.5) * (x[-1] - x[0])))
+        x, y, v = knot_table(steps, shape, probes)
+        ours = Pchip(x, y)
+        with np.errstate(over="ignore"):  # scipy warns where a slope is subnormal
+            theirs = scipy_interpolate.PchipInterpolator(x, y)
         assert ours(v).tobytes() == theirs(v).tobytes()
         assert [float(ours(p)) for p in v] == [float(theirs(p)) for p in v]
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=KNOT_STEPS, shape=KNOT_SHAPES, probes=PROBES)
+    @SUBNORMAL_SLOPE
+    def test_map_sorted_matches_call(self, steps, shape, probes):
+        x, y, v = knot_table(steps, shape, probes)
+        rr = Pchip(x, y)
+        v.sort()
+        mapped = v.copy()
+        rr.map_sorted(mapped)
+        assert mapped.tobytes() == rr(v).tobytes()
+        # Any run of sorted values, down to one value or none.
+        for lo, hi in [(1, -1), (2, 3), (0, 0)]:
+            part = v[lo:hi].copy()
+            rr.map_sorted(part)
+            assert part.tobytes() == rr(v[lo:hi]).tobytes()
 
 
 class TestQuadrature:
@@ -334,13 +369,24 @@ class TestAnalyticProductMoments:
 
 SURFACE = DoseResponse(knots=[(0, 1), (1, 1.05), (2, 1.15), (3, 1.3), (5, 1.6)])
 
-#: (dose-response, D') pairs: normals, and a point mass on either input.
+#: (dose-response, D') pairs: normals, and a point mass on either input; and
+#: surfaces whose excess, mapped from sorted D0 + D', stays in order or not.
 KERNEL_CASES = {
     "linear": (DoseResponse(beta=BETA), DPRIME),
     "linear-point-beta": (DoseResponse(beta=UncertainScalar(3.54)), DPRIME),
     "linear-point-dprime": (DoseResponse(beta=BETA), UncertainScalar(1.08)),
     "surface": (SURFACE, UncertainScalar(1.2, 0.5)),
     "surface-point-dprime": (SURFACE, UncertainScalar(1.2)),
+    "surface-falling": (DoseResponse(knots=[(0, 1), (1, 0.95), (2, 0.85), (3, 0.7), (5, 0.4)]),
+                        UncertainScalar(1.2, 0.5)),
+    "surface-turning": (DoseResponse(knots=[(0, 1), (1, 1.5), (2, 1.2), (3, 1.6)]),
+                        UncertainScalar(1.2, 0.5)),
+    "surface-plateau-step": (DoseResponse(knots=[(0, 1), (0.890827323040865, 1),
+                                                 (1.78165464608173, 1.1730171374637992),
+                                                 (2.672481969122595, 1.1730171374637992)]),
+                             UncertainScalar(1.0, 0.5)),
+    # D0 + D' ~ N(2, 3): draws pass both ends of the knots.
+    "surface-wide": (SURFACE, UncertainScalar(1.0, 3.0)),
 }
 KERNEL_TOTAL = 2.0
 KERNEL_SIZES = [2, CHUNK_SIZE, CHUNK_SIZE + 1, 5 * CHUNK_SIZE + 17]
@@ -349,7 +395,7 @@ KERNEL_SIZES = [2, CHUNK_SIZE, CHUNK_SIZE + 1, 5 * CHUNK_SIZE + 17]
 def serial_propagation(response, dprime, n, order=None):
     """Reference: every chunk keyed and drawn on this thread, in the given
     order, then the whole arrays formed as beta * D' or
-    100 * (rr(D0 + D') - rr(D0)) and sorted."""
+    100 * (rr(D0 + D') - rr(D0)) in draw order and sorted."""
     def draws(q, label):
         if q.dispersion == 0:
             return np.full(n, q.value)
@@ -422,6 +468,66 @@ class TestPropagationKernel:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert mismatches == []
+
+    @pytest.fixture
+    def finalized(self, monkeypatch):
+        """Per run: the ``ordered`` flag _from_owned gets (False: it sorts),
+        and the number of chunks whose order was checked."""
+        seen = {"ordered": [], "checked": 0}
+        finalize = EmpiricalDistribution._from_owned.__func__
+
+        def recorded(cls, arr, ordered=False):
+            seen["ordered"].append(ordered)
+            return finalize(cls, arr, ordered)
+
+        def counted(a):
+            seen["checked"] += 1
+            return ascending(a)
+
+        ascending = engine._ascending
+        monkeypatch.setattr(EmpiricalDistribution, "_from_owned", classmethod(recorded))
+        monkeypatch.setattr(engine, "_ascending", counted)
+        return seen
+
+    @pytest.mark.parametrize("case", [c for c in KERNEL_CASES if c.startswith("linear")])
+    def test_linear_sorts_once_and_checks_no_order(self, case, finalized):
+        self.run(case, 5 * CHUNK_SIZE + 17)
+        assert finalized == {"ordered": [False], "checked": 0}
+
+    @pytest.mark.parametrize("case, sorted_again", [
+        ("surface-point-dprime", False), ("surface-plateau-step", False),
+        ("surface-falling", True), ("surface-turning", True),
+        # The end cubics turn beyond the knots, so draws past them break the order.
+        ("surface-wide", True), ("surface", True)])
+    def test_surface_is_sorted_again_only_out_of_order(self, case, sorted_again, finalized):
+        n = 5 * CHUNK_SIZE + 17
+        self.run(case, n)
+        assert finalized == {"ordered": [not sorted_again], "checked": 6}
+
+    def test_order_is_checked_across_chunks(self, finalized):
+        # The surface turns down and up again between the last D0 + D' of
+        # the first chunk and the first of the second, and rises within each.
+        dprime, n = UncertainScalar(1.0, 0.1), 2 * CHUNK_SIZE
+        d = np.sort(sample(dprime, RandomStream(SEED, DPRIME_STREAM), n)
+                    + (KERNEL_TOTAL - dprime.value))
+        a, b = d[CHUNK_SIZE - 1], d[CHUNK_SIZE]
+        response = DoseResponse(knots=[(0, 1), (1, 1.5), (a + (b - a) / 3, 2),
+                                       (b - (b - a) / 3, 1.5), (5, 3)])
+        mapped = response.rr(d)
+        first, second = mapped[:CHUNK_SIZE], mapped[CHUNK_SIZE:]
+        assert np.all(first[:-1] <= first[1:]) and np.all(second[:-1] <= second[1:])
+        assert first[-1] > second[0]
+        dist, _ = propagate(response, decompose_anomaly(KERNEL_TOTAL, dprime), SEED, n)
+        assert finalized == {"ordered": [False], "checked": 2}
+        assert np.array_equal(dist.samples, serial_propagation(response, dprime, n)[0])
+
+    def test_rising_surface_is_not_sorted_again(self, finalized):
+        # D0 + D' ~ N(2, 0.3) stays inside the knots [0, 5] at this seed and n.
+        dist, _ = propagate(SURFACE, decompose_anomaly(KERNEL_TOTAL, UncertainScalar(1.2, 0.3)),
+                            SEED, 5 * CHUNK_SIZE + 17)
+        assert finalized["ordered"] == [True]
+        expected, _ = serial_propagation(SURFACE, UncertainScalar(1.2, 0.3), dist.sample_count)
+        assert np.array_equal(dist.samples, expected)
 
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_exceedance_counts_the_dprime_draws(self, case):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tracemalloc
 from pathlib import Path
@@ -101,6 +102,32 @@ class TestLoading:
 
     def test_default_seed_applies_when_file_silent(self):
         assert parse_scenario(minimal(), default_seed=99).seed == 99
+
+    @pytest.mark.parametrize("bad", [None, True, "3", [3]], ids=["null", "bool", "quoted", "list"])
+    @pytest.mark.parametrize("at", [0, 1], ids=["D", "rr"])
+    def test_knot_that_is_not_a_number_names_field(self, bad, at):
+        knot = [3, 1.2]
+        knot[at] = bad
+        with pytest.raises(ScenarioError, match="expected a number") as exc:
+            parse_scenario(minimal(dose_response={"kind": "surface", "knots": [[0, 1], knot]}))
+        assert exc.value.field == "dose_response.knots"
+        assert str(exc.value).startswith("dose_response.knots: ")
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("at", [0, 1], ids=["D", "rr"])
+    def test_knot_that_is_not_finite_names_field(self, bad, at):
+        knot = [3, 1.2]
+        knot[at] = bad
+        with pytest.raises(ScenarioError, match="must be finite") as exc:
+            parse_scenario(minimal(dose_response={"kind": "surface", "knots": [[0, 1], knot]}))
+        assert exc.value.field == "dose_response.knots"
+
+    @pytest.mark.parametrize("big", [10 ** 400, -(10 ** 400), 2 ** 1024 - 2 ** 969],
+                             ids=["1e400", "-1e400", "rounds-to-2^1024"])
+    def test_integer_beyond_float_range_is_not_finite(self, big):
+        with pytest.raises(ScenarioError, match="must be finite") as exc:
+            parse_scenario(minimal(anomaly_total=big))
+        assert exc.value.field == "anomaly_total"
 
     def test_surface_scenario_parses(self):
         cfg = parse_scenario(minimal(
