@@ -21,8 +21,7 @@ from .engine import (  # noqa: E402,F401
     analytic_product_moments,
     decompose_anomaly,
     integral_attribution,
-    linear_attribution,
-    propagate_attribution,
+    propagate,
 )
 from .scenario import (  # noqa: E402,F401
     ReportBundle,

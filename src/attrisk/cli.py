@@ -51,7 +51,10 @@ def _parse_set(pairs: list[str]) -> dict[str, object]:
         key, _, raw = pair.partition("=")
         if not key:
             raise ScenarioError(f"--set expects a dotted key, got {pair!r}")
-        overrides[key] = yaml.safe_load(raw)
+        try:
+            overrides[key] = yaml.safe_load(raw)
+        except yaml.YAMLError as exc:
+            raise ScenarioError(f"--set {key}: not a YAML value: {raw!r}", key) from exc
     return overrides
 
 
@@ -83,7 +86,12 @@ def _load(args) -> "ScenarioConfig":
 
 def _write(payload: bytes, out_path: str | None):
     if out_path:
-        with open(out_path, "wb") as fh:
+        try:
+            fh = open(out_path, "wb")
+        except OSError as exc:
+            raise ScenarioError(f"--out {out_path}: cannot write: {exc.strerror}",
+                                "--out") from exc
+        with fh:
             fh.write(payload)
     else:
         sys.stdout.buffer.write(payload)
@@ -218,7 +226,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except Exception as exc:  # usage/config error (2) or runtime failure (1)
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (ScenarioError, FileNotFoundError)) else 1
+        return 2 if isinstance(exc, ScenarioError) else 1
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ Splits a climate anomaly into natural and anthropogenic components, maps each
 through a dose response (a linear coefficient ``beta``, or the monotone cubic
 ``rr`` through a relative-risk table of ``knots``; the kind follows from which
 of the two is given), and propagates input uncertainty into a full
-distribution of the anthropogenic excess risk. Excess risk is carried in
+distribution of the anthropogenic excess risk. Each question is one call on
+(response, decomposition), for either kind: ``integral_attribution`` gives the
+point estimates and ``propagate`` the distribution. Excess risk is carried in
 percent; the relative-risk multiplier is dimensionless. An input of dispersion
 0 is a point mass. ``propagate`` turns each Philox chunk of one n-array into
 its excess risk in place, on the ``uq`` pool, and counts the D' draws above
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import math
 import warnings
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,13 +129,6 @@ class Pchip:
                 y += s
             start = end
 
-    def derivative(self) -> "Pchip":
-        """The slope, whose integral over an interval is the cubic's difference."""
-        slope = copy.copy(self)
-        c0, c1, c2, _ = self.c
-        slope.c = np.stack((np.zeros_like(c0), 3 * c0, 2 * c1, c2))
-        return slope
-
 
 @dataclass(frozen=True)
 class DoseResponse:
@@ -173,23 +167,17 @@ class RiskAttribution:
     total_relative_risk: float
 
 
-def linear_attribution(beta: float, decomp: AnomalyDecomposition) -> RiskAttribution:
-    """Excess risk under the linear relative-risk approximation."""
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
-    natural = beta * decomp.natural
-    anthropogenic = beta * decomp.anthropogenic.value
-    return RiskAttribution(natural, anthropogenic, 1.0 + (natural + anthropogenic) / 100.0)
-
-
 def integral_attribution(response: DoseResponse, decomp: AnomalyDecomposition) -> RiskAttribution:
-    """Excess risk as the integral of the surface slope over each component.
-
-    The slope integrates over [0, D0] and [D0, D0+D'] to the differences of
-    the surface rr itself, rr(D0) - rr(0) and rr(D0+D') - rr(D0).
+    """Excess risk as the integral of the dose-response slope over [0, D0] and
+    [D0, D0+D']: beta * D0 and beta * D' for a linear response (a negative D0,
+    already warned of, is allowed), and for a surface the differences of rr
+    itself, rr(D0) - rr(0) and rr(D0+D') - rr(D0), where D0 >= 0 and D0+D' is at
+    most the last knot.
     """
     if response.beta is not None:
-        raise ValueError("integral_attribution requires a surface dose-response")
+        natural = response.beta.value * decomp.natural
+        anthropogenic = response.beta.value * decomp.anthropogenic.value
+        return RiskAttribution(natural, anthropogenic, 1.0 + (natural + anthropogenic) / 100.0)
     d0 = decomp.natural
     d_total = decomp.natural + decomp.anthropogenic.value
     last = response.knots[-1][0]
@@ -203,15 +191,6 @@ def integral_attribution(response: DoseResponse, decomp: AnomalyDecomposition) -
     natural = 100.0 * (float(rr(d0)) - float(rr(0.0)))
     anthropogenic = 100.0 * (float(rr(d_total)) - float(rr(d0)))
     return RiskAttribution(natural, anthropogenic, 1.0 + (natural + anthropogenic) / 100.0)
-
-
-def propagate_attribution(beta: UncertainScalar, dprime: UncertainScalar,
-                          seed: int, n: int) -> EmpiricalDistribution:
-    """Distribution of the anthropogenic excess risk beta_i * D'_i (percent),
-    the inputs drawn from fixed-label substreams of the single seed."""
-    # A total of at least D' warns of nothing and does not enter beta * D'.
-    decomp = decompose_anomaly(max(dprime.value, 0.0), dprime)
-    return propagate(DoseResponse(beta=beta), decomp, seed, n)[0]
 
 
 def _ascending(a: np.ndarray) -> bool:

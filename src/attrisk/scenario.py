@@ -23,7 +23,6 @@ from .engine import (
     RiskAttribution,
     decompose_anomaly,
     integral_attribution,
-    linear_attribution,
     propagate,
 )
 from .uq import (
@@ -282,7 +281,7 @@ def load_scenario(path, overrides: dict[str, object] | None = None,
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-    except PermissionError as exc:
+    except OSError as exc:
         raise ParseError(f"{path}: not readable: {exc.strerror}") from exc
     try:
         data = yaml.safe_load(text)
@@ -321,10 +320,7 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
     """
     try:
         decomp = decompose_anomaly(cfg.anomaly_total, cfg.anthropogenic)
-        if cfg.dose_response.beta is not None:
-            attribution = linear_attribution(cfg.dose_response.beta.value, decomp)
-        else:
-            attribution = integral_attribution(cfg.dose_response, decomp)
+        attribution = integral_attribution(cfg.dose_response, decomp)
         dist, exceedance = propagate(cfg.dose_response, decomp, cfg.seed, cfg.samples)
         summary = summarize(dist)
         p_value = tail_probability(dist, cfg.null_threshold)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -24,28 +23,20 @@ from numpy.random import Generator, Philox, SeedSequence
 #: Draws per independently-keyed chunk. Fixed: changing it changes streams.
 CHUNK_SIZE = 1 << 16
 
-_pool_lock = threading.Lock()
-_pool_executor: ThreadPoolExecutor | None = None
+#: The process-wide chunk-filling pool, one worker per usable CPU.
+_pool: ThreadPoolExecutor
 
 
-def _pool() -> ThreadPoolExecutor:
-    """The process-wide chunk-filling pool, one worker per usable CPU."""
-    global _pool_executor
-    with _pool_lock:
-        if _pool_executor is None:
-            _pool_executor = ThreadPoolExecutor(
-                max_workers=len(os.sched_getaffinity(0)), thread_name_prefix="attrisk-philox")
-        return _pool_executor
+def _start_pool() -> None:
+    # At import, and again in a forked child, which inherits the executor but
+    # none of its threads. No thread starts until the first map.
+    global _pool
+    _pool = ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0)),
+                               thread_name_prefix="attrisk-philox")
 
 
-def _forget_pool() -> None:
-    # A forked child inherits the executor but none of its threads.
-    global _pool_executor, _pool_lock
-    _pool_executor = None
-    _pool_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
+_start_pool()
+os.register_at_fork(after_in_child=_start_pool)
 
 
 def map_chunks(work: Callable[[int, np.ndarray], object], out: np.ndarray) -> list:
@@ -54,7 +45,7 @@ def map_chunks(work: Callable[[int, np.ndarray], object], out: np.ndarray) -> li
     chunks = [out[lo:lo + CHUNK_SIZE] for lo in range(0, out.size, CHUNK_SIZE)]
     if len(chunks) == 1:
         return [work(0, chunks[0])]
-    return list(_pool().map(work, range(len(chunks)), chunks))
+    return list(_pool.map(work, range(len(chunks)), chunks))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,7 @@ from attrisk.engine import (
     analytic_product_moments,
     decompose_anomaly,
     integral_attribution,
-    linear_attribution,
-    propagate_attribution,
+    propagate,
 )
 from attrisk.scenario import emit_report, load_scenario, run_scenario
 from attrisk.uq import (
@@ -34,6 +33,7 @@ SYRIA = SCENARIOS / "syria_2010.yaml"
 
 BETA = UncertainScalar(3.54, 1.2)
 DPRIME = UncertainScalar(1.08, 0.37)
+LINEAR = DoseResponse(beta=BETA)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,8 @@ def syria_cfg():
 
 @pytest.fixture(scope="module")
 def syria_dist(syria_cfg):
-    return propagate_attribution(BETA, DPRIME, syria_cfg.seed, syria_cfg.samples)
+    decomp = decompose_anomaly(syria_cfg.anomaly_total, DPRIME)
+    return propagate(LINEAR, decomp, syria_cfg.seed, syria_cfg.samples)[0]
 
 
 def ok(name, detail):
@@ -52,14 +53,14 @@ def ok(name, detail):
 
 def test_criterion_1_natural_point_estimate():
     decomp = decompose_anomaly(2.48, DPRIME)
-    attr = linear_attribution(3.54, decomp)
+    attr = integral_attribution(LINEAR, decomp)
     assert abs(attr.natural_excess - 4.96) <= 0.06
     ok("criterion 1 natural point estimate", f"{attr.natural_excess:.4f} = 4.96 ± 0.06")
 
 
 def test_criterion_2_anthropogenic_point_estimate():
     decomp = decompose_anomaly(2.48, DPRIME)
-    attr = linear_attribution(3.54, decomp)
+    attr = integral_attribution(LINEAR, decomp)
     assert abs(attr.anthropogenic_excess - 3.82) <= 0.03
     ok("criterion 2 anthropogenic point estimate",
        f"{attr.anthropogenic_excess:.4f} = 3.82 ± 0.03")
@@ -105,7 +106,7 @@ def test_criterion_7_linearization_equivalence():
     decomp = decompose_anomaly(2.48, DPRIME)
     linear_surface = DoseResponse(knots=[(d, 1 + 0.0354 * d) for d in range(4)])
     got = integral_attribution(linear_surface, decomp)
-    want = linear_attribution(3.54, decomp)
+    want = integral_attribution(LINEAR, decomp)
     assert got.natural_excess == pytest.approx(want.natural_excess, rel=1e-9)
     assert got.anthropogenic_excess == pytest.approx(want.anthropogenic_excess, rel=1e-9)
 
@@ -163,8 +164,9 @@ def test_criterion_9_property_suites():
         beta = UncertainScalar(rng.uniform(-5, 5), rng.uniform(0.01, 3))
         dprime = UncertainScalar(rng.uniform(-2, 2), rng.uniform(0.01, 1))
         scaled_beta = UncertainScalar(k * beta.value, k * beta.dispersion)
-        base = propagate_attribution(beta, dprime, i, 128)
-        scaled = propagate_attribution(scaled_beta, dprime, i, 128)
+        decomp = decompose_anomaly(max(dprime.value, 0.0), dprime)
+        base = propagate(DoseResponse(beta=beta), decomp, i, 128)[0]
+        scaled = propagate(DoseResponse(beta=scaled_beta), decomp, i, 128)[0]
         assert np.array_equal(scaled.samples / k, base.samples)
     ok("criterion 9 property suites",
        f"{cases} randomized cases: percentile monotonicity, summary ordering, "

@@ -98,6 +98,25 @@ class TestAttribute:
         code, _, err = run(capsys, "attribute", SYRIA, "--set", "noequals")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, key", [
+        (["attribute", SYRIA, "--set", "mc.seed=[1"], "mc.seed"),
+        (["selftest", "--set", "mc.samples=["], "mc.samples"),
+    ], ids=["attribute", "selftest"])
+    def test_set_value_not_yaml_is_usage_error(self, capsys, argv, key):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --set {key}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", [".", "no-such-dir/report.json"],
+                             ids=["directory", "missing-directory"])
+    def test_out_that_cannot_be_opened_is_usage_error(self, capsys, tmp_path, target):
+        out_path = str(tmp_path / target)
+        code, out, err = run(capsys, "report", SYRIA, "--samples", "2000", "--out", out_path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --out {out_path}: ")
+
     def test_out_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run(capsys, "report", SYRIA, "--samples", "2000",

@@ -18,10 +18,8 @@ from attrisk.engine import (
     analytic_product_moments,
     decompose_anomaly,
     integral_attribution,
-    linear_attribution,
     Pchip,
     propagate,
-    propagate_attribution,
 )
 from attrisk.uq import CHUNK_SIZE, EmpiricalDistribution, RandomStream, UncertainScalar, sample
 
@@ -29,6 +27,7 @@ SEED = 20150302
 
 DPRIME = UncertainScalar(1.08, 0.37)
 BETA = UncertainScalar(3.54, 1.2)
+LINEAR = DoseResponse(beta=BETA)
 
 QUADRATURE_REL_TOL = 1e-9
 
@@ -87,34 +86,44 @@ class TestDecompose:
             decompose_anomaly(1.0, UncertainScalar(1.5))
 
 
+def linear(beta: float) -> DoseResponse:
+    return DoseResponse(beta=UncertainScalar(beta))
+
+
+def product(beta, dprime, seed, n):
+    """The distribution of beta * D', from a total anomaly no less than D'."""
+    decomp = decompose_anomaly(max(dprime.value, 0.0), dprime)
+    return propagate(DoseResponse(beta=beta), decomp, seed, n)[0]
+
+
 class TestLinearAttribution:
     def test_syria_point_estimates(self):
         decomp = decompose_anomaly(2.48, DPRIME)
-        attr = linear_attribution(3.54, decomp)
+        attr = integral_attribution(LINEAR, decomp)
         assert attr.natural_excess == pytest.approx(4.956)
         assert attr.anthropogenic_excess == pytest.approx(3.8232)
         assert attr.total_relative_risk == pytest.approx(1 + 3.54 * 2.48 / 100)
 
     def test_zero_sensitivity(self):
         decomp = decompose_anomaly(2.48, DPRIME)
-        attr = linear_attribution(0.0, decomp)
+        attr = integral_attribution(linear(0.0), decomp)
         assert (attr.natural_excess, attr.anthropogenic_excess) == (0.0, 0.0)
         assert attr.total_relative_risk == 1.0
 
     def test_temperature_coefficient_illustrative(self):
         decomp = decompose_anomaly(1.0, UncertainScalar(0.0))
-        attr = linear_attribution(11.33, decomp)
+        attr = integral_attribution(linear(11.33), decomp)
         assert attr.natural_excess == 11.33
 
     def test_relative_risk_identity(self):
         decomp = decompose_anomaly(2.48, DPRIME)
-        attr = linear_attribution(3.54, decomp)
+        attr = integral_attribution(LINEAR, decomp)
         expected = 1 + (attr.natural_excess + attr.anthropogenic_excess) / 100
         assert attr.total_relative_risk == pytest.approx(expected, rel=1e-15)
 
     def test_decomposition_additivity(self):
         decomp = decompose_anomaly(2.48, DPRIME)
-        attr = linear_attribution(3.54, decomp)
+        attr = integral_attribution(LINEAR, decomp)
         assert attr.natural_excess + attr.anthropogenic_excess == \
             pytest.approx(3.54 * 2.48, rel=1e-12)
 
@@ -168,7 +177,7 @@ class TestIntegralAttribution:
         surface = DoseResponse(knots=[(d, 1 + 0.0354 * d) for d in range(4)])
         decomp = decompose_anomaly(2.48, DPRIME)
         got = integral_attribution(surface, decomp)
-        want = linear_attribution(3.54, decomp)
+        want = integral_attribution(LINEAR, decomp)
         assert got.natural_excess == pytest.approx(want.natural_excess, rel=1e-9)
         assert got.anthropogenic_excess == pytest.approx(want.anthropogenic_excess, rel=1e-9)
 
@@ -194,10 +203,23 @@ class TestIntegralAttribution:
         with pytest.raises(DomainCoverageError):
             integral_attribution(surface, decomp)
 
-    def test_requires_surface_kind(self):
-        decomp = decompose_anomaly(2.0, UncertainScalar(1.0))
-        with pytest.raises(ValueError):
-            integral_attribution(DoseResponse(beta=BETA), decomp)
+    @pytest.mark.parametrize("total, dprime", [(2.48, DPRIME), (2.0, UncertainScalar(0.0)),
+                                               (0.3, UncertainScalar(1.2, 0.4))],
+                             ids=["syria", "natural-only", "negative-natural"])
+    @pytest.mark.parametrize("beta", [BETA, UncertainScalar(-0.7), UncertainScalar(11.33, 2)],
+                             ids=["syria", "protective", "temperature"])
+    def test_linear_response_is_beta_times_each_component(self, beta, total, dprime):
+        # A negative natural component warns, and still has its beta * D0.
+        if dprime.value > total:
+            with pytest.warns(UserWarning, match="natural component is negative"):
+                decomp = decompose_anomaly(total, dprime)
+        else:
+            decomp = decompose_anomaly(total, dprime)
+        attr = integral_attribution(DoseResponse(beta=beta), decomp)
+        natural = beta.value * decomp.natural
+        anthropogenic = beta.value * dprime.value
+        assert (attr.natural_excess, attr.anthropogenic_excess) == (natural, anthropogenic)
+        assert attr.total_relative_risk == 1.0 + (natural + anthropogenic) / 100.0
 
     def test_plateau_step_surface(self):
         # The slope is 0 at every knot; an adaptive quadrature scaled by the
@@ -215,6 +237,7 @@ class TestIntegralAttribution:
                           min_size=1, max_size=8),
            falling=st.booleans(), total_at=st.floats(0.0, 1.0), dprime_at=st.floats(0.0, 1.0))
     def test_matches_quadrature_of_the_slope(self, steps, falling, total_at, dprime_at):
+        scipy_interpolate = pytest.importorskip("scipy.interpolate")
         knots = [(0.0, 1.0)]
         for dx, dy in steps:
             d, r = knots[-1]
@@ -228,7 +251,9 @@ class TestIntegralAttribution:
         assume(d_total <= last)
 
         attr = integral_attribution(surface, decomp)
-        slope = surface.rr.derivative()
+        # The oracle integrates scipy's slope, not one derived from engine.Pchip.
+        with np.errstate(over="ignore"):  # scipy warns where a slope is subnormal
+            slope = scipy_interpolate.PchipInterpolator(*np.array(knots).T).derivative()
         knot_ds = [d for d, _ in knots]
         natural = 100.0 * integrate_adaptive(slope, 0.0, d0, knot_ds)
         anthropogenic = 100.0 * integrate_adaptive(slope, d0, d_total, knot_ds)
@@ -313,26 +338,24 @@ class TestQuadrature:
 
 class TestPropagation:
     def test_point_masses_are_degenerate(self):
-        d = propagate_attribution(UncertainScalar(3.54),
-                                  UncertainScalar(1.08), SEED, 100)
+        d = product(UncertainScalar(3.54), UncertainScalar(1.08), SEED, 100)
         assert np.all(d.samples == 3.54 * 1.08)
 
     def test_zero_mean_product_is_centered(self):
-        d = propagate_attribution(UncertainScalar(0, 1.2),
-                                  UncertainScalar(0, 0.37), SEED, 1_000_000)
+        d = product(UncertainScalar(0, 1.2), UncertainScalar(0, 0.37), SEED, 1_000_000)
         assert abs(np.median(d.samples)) < 0.01
 
     def test_deterministic(self):
-        a = propagate_attribution(BETA, DPRIME, SEED, 10_000)
-        b = propagate_attribution(BETA, DPRIME, SEED, 10_000)
+        a = product(BETA, DPRIME, SEED, 10_000)
+        b = product(BETA, DPRIME, SEED, 10_000)
         assert np.array_equal(a.samples, b.samples)
 
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
-            propagate_attribution(BETA, DPRIME, SEED, 1)
+            product(BETA, DPRIME, SEED, 1)
 
     def test_syria_moments_match_analytic(self):
-        d = propagate_attribution(BETA, DPRIME, SEED, 1_000_000)
+        d = product(BETA, DPRIME, SEED, 1_000_000)
         mean, var = analytic_product_moments(DPRIME, BETA)
         assert abs(d.mean - mean) < 5 * math.sqrt(var / d.sample_count)
         assert abs(d.variance - var) < 10 * var / math.sqrt(d.sample_count)

@@ -81,6 +81,11 @@ class TestLoading:
             load_scenario(bad)
         assert "line" in str(exc.value)
 
+    def test_directory_is_parse_error(self, tmp_path):
+        with pytest.raises(ParseError) as exc:
+            load_scenario(tmp_path)
+        assert str(tmp_path) in str(exc.value)
+
     def test_non_utf8_is_parse_error(self, tmp_path):
         bad = tmp_path / "latin1.yaml"
         bad.write_bytes("name: S\xe3o Paulo\n".encode("latin-1"))

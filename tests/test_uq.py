@@ -1,9 +1,12 @@
 import math
 import multiprocessing
+import os
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,12 +157,23 @@ class TestChunkParallel:
         assert mismatches == []
 
     def test_single_chunk_stays_on_calling_thread(self, monkeypatch):
-        def no_pool():
-            raise AssertionError("a single chunk must not use the pool")
+        class NoPool:
+            def map(self, *args):
+                raise AssertionError("a single chunk must not use the pool")
 
-        monkeypatch.setattr(uq, "_pool", no_pool)
+        monkeypatch.setattr(uq, "_pool", NoPool())
         assert np.array_equal(sample(NORMAL, RandomStream(SEED, 1), CHUNK_SIZE),
                               serial_chunks(SEED, 1, CHUNK_SIZE))
+
+    def test_import_starts_no_thread(self):
+        child = ("import threading, attrisk\n"
+                 "print([t.name for t in threading.enumerate()])\n")
+        src = str(Path(uq.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "['MainThread']\n"), proc.stderr
 
     def test_forked_child_can_draw(self):
         n = 2 * CHUNK_SIZE + 1
