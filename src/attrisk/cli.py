@@ -27,6 +27,7 @@ from .engine import analytic_product_moments
 from .scenario import (
     DEFAULT_SAMPLES,
     FORMATS,
+    YAML_LOADER,
     ScenarioError,
     emit_report,
     load_scenario,
@@ -52,7 +53,7 @@ def _parse_set(pairs: list[str]) -> dict[str, object]:
         if not key:
             raise ScenarioError(f"--set expects a dotted key, got {pair!r}")
         try:
-            overrides[key] = yaml.safe_load(raw)
+            overrides[key] = yaml.load(raw, Loader=YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"--set {key}: not a YAML value: {raw!r}", key) from exc
     return overrides

@@ -51,6 +51,12 @@ _SAMPLE_BYTES, _BIN_BYTES = 8, 16
 
 FORMATS = ("human", "csv", "json")
 
+# The one YAML loader for scenario files and --set values: libyaml's C parser
+# where PyYAML was built with it, else the pure-Python one. Both use PyYAML's
+# safe constructor and resolver, so they build the same data and reject the
+# same tags; libyaml alone also accepts a tab after a mapping colon.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ScenarioError(ValueError):
     """Configuration error, or a run the configuration cannot support (e.g. a
@@ -275,7 +281,8 @@ def apply_overrides(data: dict, overrides: dict[str, object]) -> dict:
 
 def load_scenario(path, overrides: dict[str, object] | None = None,
                   default_seed: int | None = None) -> ScenarioConfig:
-    """Load, override, and strictly validate a scenario file."""
+    """Load (with ``YAML_LOADER``: PyYAML's ``CSafeLoader`` where installed,
+    else ``SafeLoader``), override, and strictly validate a scenario file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -284,7 +291,7 @@ def load_scenario(path, overrides: dict[str, object] | None = None,
     except OSError as exc:
         raise ParseError(f"{path}: not readable: {exc.strerror}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

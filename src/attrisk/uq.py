@@ -29,14 +29,17 @@ _pool: ThreadPoolExecutor
 
 def _start_pool() -> None:
     # At import, and again in a forked child, which inherits the executor but
-    # none of its threads. No thread starts until the first map.
+    # none of its threads. No thread starts until the first map. CPU affinity
+    # is Linux-only; elsewhere the pool takes the CPU count.
     global _pool
-    _pool = ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0)),
-                               thread_name_prefix="attrisk-philox")
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="attrisk-philox")
 
 
 _start_pool()
-os.register_at_fork(after_in_child=_start_pool)
+if hasattr(os, "register_at_fork"):  # Unix only
+    os.register_at_fork(after_in_child=_start_pool)
 
 
 def map_chunks(work: Callable[[int, np.ndarray], object], out: np.ndarray) -> list:

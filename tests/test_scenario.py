@@ -5,9 +5,10 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+import yaml
 
 import attrisk
-from attrisk import engine, scenario
+from attrisk import cli, engine, scenario, uq
 from attrisk.scenario import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -21,7 +22,7 @@ from attrisk.scenario import (
     parse_scenario,
     run_scenario,
 )
-from attrisk.uq import CHUNK_SIZE, RandomStream
+from attrisk.uq import CHUNK_SIZE, RandomStream, UncertainScalar
 
 SCENARIOS = Path(attrisk.__file__).parent / "scenarios"
 SYRIA = SCENARIOS / "syria_2010.yaml"
@@ -73,13 +74,6 @@ class TestLoading:
         with pytest.raises(UnknownKeyError) as exc:
             parse_scenario(minimal(mc={"sede": 7}))
         assert "mc.sede" in str(exc.value)
-
-    def test_parse_error_reports_location(self, tmp_path):
-        bad = tmp_path / "bad.yaml"
-        bad.write_text("name: x\n  year: : :\n")
-        with pytest.raises(ParseError) as exc:
-            load_scenario(bad)
-        assert "line" in str(exc.value)
 
     def test_directory_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError) as exc:
@@ -141,6 +135,119 @@ class TestLoading:
         assert cfg.dose_response.knots == ((0, 1.0), (1, 1.04), (3, 1.12))
 
 
+# A scenario with a merge key, and one in flow style with a non-BMP name.
+MERGE_YAML = """\
+name: merged
+year: 2010
+anomaly_total: 2.48
+anthropogenic: &normal {value: 1.08, dispersion: 0.37}
+dose_response: {<<: *normal, kind: linear, value: 3.54}
+"""
+NON_BMP_YAML = ("{name: \"\U0001F30D syria\", year: 2010, anomaly_total: 2.48,"
+                " anthropogenic: {value: 1.08, dispersion: 0.37},"
+                " dose_response: {kind: linear, value: 3.54, dispersion: 1.2}}\n")
+
+
+def _golden_surface_yaml():
+    from test_golden import SURFACE_YAML
+    return SURFACE_YAML.encode()
+
+
+PARITY_DOCS = {
+    "syria_2010": SYRIA.read_bytes,
+    "temperature_illustrative":
+        (SCENARIOS / "syria_2010_temperature_illustrative.yaml").read_bytes,
+    "golden_surface": _golden_surface_yaml,
+    "bom": lambda: b"\xef\xbb\xbf" + SYRIA.read_bytes(),
+    "crlf": lambda: SYRIA.read_bytes().replace(b"\n", b"\r\n"),
+    "non_bmp_name": lambda: NON_BMP_YAML.encode(),
+    "merge_key": lambda: MERGE_YAML.encode(),
+}
+
+# Malformed documents and where both loaders place the error (None: a reader
+# error, which carries no line or column under either).
+MALFORMED = {
+    "name: x\n  year: : :\n": "line 2, column 7",
+    "a: [1\n": "line 2, column 1",
+    "a: 1\n\tb: 2\n": "line 2, column 1",
+    "name: x\x07\n": None,
+}
+
+
+def _location(message):
+    at = message.find(" at line ")
+    return message[at + 4:message.index(":", at)] if at >= 0 else None
+
+
+@pytest.fixture(params=[scenario.YAML_LOADER, yaml.SafeLoader],
+                ids=["YAML_LOADER", "SafeLoader"])
+def loader(request, monkeypatch):
+    """Parse scenario files and --set values with each loader in turn."""
+    monkeypatch.setattr(scenario, "YAML_LOADER", request.param)
+    monkeypatch.setattr(cli, "YAML_LOADER", request.param)
+    return request.param
+
+
+class TestYamlLoader:
+    def test_libyaml_loader_is_used_where_installed(self):
+        if yaml.__with_libyaml__:
+            assert scenario.YAML_LOADER is yaml.CSafeLoader
+        else:
+            assert scenario.YAML_LOADER is yaml.SafeLoader
+        assert cli.YAML_LOADER is scenario.YAML_LOADER
+
+    @pytest.mark.parametrize("doc", PARITY_DOCS.values(), ids=PARITY_DOCS)
+    def test_same_data(self, loader, doc, tmp_path):
+        raw = doc()
+        path = tmp_path / "doc.yaml"
+        path.write_bytes(raw)
+        # PyYAML's pure loader decodes the bytes itself: BOM, CRLF and all.
+        data = yaml.load(raw, Loader=yaml.SafeLoader)
+        assert yaml.load(raw.decode("utf-8"), Loader=loader) == data
+        assert load_scenario(path).canonical_dict() == parse_scenario(data).canonical_dict()
+
+    def test_merge_key_and_non_bmp_name(self, loader, tmp_path):
+        path = tmp_path / "doc.yaml"
+        path.write_text(MERGE_YAML, encoding="utf-8")
+        assert load_scenario(path).dose_response.beta == UncertainScalar(3.54, 0.37)
+        path.write_text(NON_BMP_YAML, encoding="utf-8")
+        assert load_scenario(path).name == "\U0001F30D syria"
+
+    @pytest.mark.parametrize("text", MALFORMED, ids=["mapping", "flow", "tab-indent", "control"])
+    def test_same_error_location(self, loader, text, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_scenario(path)
+        assert _location(str(exc.value)) == MALFORMED[text]
+        assert exc.value.field == ""
+
+    def test_python_tag_is_rejected_and_never_run(self, loader, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(os, "system", ran.append)
+        tag = '!!python/object/apply:os.system ["true"]'
+        path = tmp_path / "tag.yaml"
+        path.write_text(f"name: {tag}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="constructor"):
+            load_scenario(path)
+        assert cli.main(["report", str(path)]) == 2
+        assert cli.main(["report", str(SYRIA), "--set", f"name={tag}"]) == 2
+        assert ran == []
+
+    def test_tab_after_colon_differs_only_by_loader(self, loader, tmp_path):
+        # The YAML spec allows a tab as separation space after ':'. PyYAML's
+        # pure scanner rejects it; libyaml reads the value.
+        path = tmp_path / "tab.yaml"
+        path.write_text(yaml.safe_dump(minimal(), sort_keys=False)
+                        .replace("name: toy", "name:\ttoy"), encoding="utf-8")
+        if loader is yaml.SafeLoader:
+            with pytest.raises(ParseError) as exc:
+                load_scenario(path)
+            assert _location(str(exc.value)) == "line 1, column 6"
+        else:
+            assert load_scenario(path).name == "toy"
+
+
 class TestMemoryBound:
     """Sample and bin counts whose arrays cannot fit in physical memory are
     rejected while parsing, before any array is allocated."""
@@ -180,7 +287,7 @@ class TestMemoryBound:
         # and beyond it only chunk-sized scratch per pool thread.
         n = 2_000_000
         cfg = parse_scenario(minimal(**changes, mc={"samples": n}))
-        workers = len(os.sched_getaffinity(0))
+        workers = uq._pool._max_workers
         # Start the pool before measuring.
         run_scenario(parse_scenario(minimal(**changes, mc={"samples": 2 * CHUNK_SIZE})))
         tracemalloc.start()

@@ -110,6 +110,15 @@ def serial_chunks(seed, label, n, order=None):
     return out
 
 
+def _run_child(code):
+    """Run code in a fresh interpreter that imports this checkout's attrisk."""
+    src = str(Path(uq.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, timeout=120)
+
+
 def _draw_in_child(n):
     return sample(NORMAL, RandomStream(7, 1), n).tobytes()
 
@@ -166,14 +175,23 @@ class TestChunkParallel:
                               serial_chunks(SEED, 1, CHUNK_SIZE))
 
     def test_import_starts_no_thread(self):
-        child = ("import threading, attrisk\n"
-                 "print([t.name for t in threading.enumerate()])\n")
-        src = str(Path(uq.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", child], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert (proc.returncode, proc.stdout) == (0, "['MainThread']\n"), proc.stderr
+        proc = _run_child("import threading, attrisk\n"
+                          "print([t.name for t in threading.enumerate()])\n")
+        assert (proc.returncode, proc.stdout) == (0, b"['MainThread']\n"), proc.stderr
+
+    def test_pool_without_affinity_or_fork_hook(self):
+        # macOS has no os.sched_getaffinity and Windows no os.register_at_fork
+        # either: the pool then takes the CPU count, and the bits do not change.
+        n = 3 * CHUNK_SIZE + 5
+        proc = _run_child(
+            "import os, sys\n"
+            "del os.sched_getaffinity, os.register_at_fork\n"
+            "from attrisk import uq\n"
+            "assert uq._pool._max_workers == (os.cpu_count() or 1)\n"
+            "x = uq.sample(uq.UncertainScalar(0.0, 1.0), uq.RandomStream(7, 2), %d)\n"
+            "sys.stdout.buffer.write(x.tobytes())\n" % n)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == sample(NORMAL, RandomStream(7, 2), n).tobytes()
 
     def test_forked_child_can_draw(self):
         n = 2 * CHUNK_SIZE + 1
