@@ -56,6 +56,8 @@ def _parse_set(pairs: list[str]) -> dict[str, object]:
             overrides[key] = yaml.load(raw, Loader=YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"--set {key}: not a YAML value: {raw!r}", key) from exc
+        except ValueError as exc:  # a date such as 2010-13-45
+            raise ScenarioError(f"--set {key}: {raw!r}: {exc}", key) from exc
     return overrides
 
 

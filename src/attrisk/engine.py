@@ -11,8 +11,8 @@ percent; the relative-risk multiplier is dimensionless. An input of dispersion
 0 is a point mass. ``propagate`` turns each Philox chunk of one n-array into
 its excess risk in place, on the ``uq`` pool, and counts the D' draws above
 the total anomaly on the way. A surface run sorts D0 + D' before it maps it,
-so each chunk evaluates whole pieces of the cubic, and its excess is sorted
-again only if the map breaks its order.
+so each chunk evaluates whole pieces of the cubic, and the distribution sorts
+its excess again only if the map breaks its order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .uq import (
-    CHUNK_SIZE,
     EmpiricalDistribution,
     RandomStream,
     UncertainScalar,
@@ -98,18 +97,20 @@ class Pchip:
         self.x = x
         self.c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
-    def __call__(self, v):
-        # The piece is the count of inner knots at or below v.
-        i = np.searchsorted(self.x[1:-1], v, side="right")
-        c0, c1, c2, c3 = self.c
-        s = v - self.x[i]
-        ss = s * s
-        return ((c3[i] + c2[i] * s) + c1[i] * ss) + c0[i] * (ss * s)
+    def __call__(self, v) -> np.ndarray:
+        """The cubic at any v, in v's shape: map_sorted on a sorted copy."""
+        v = np.asarray(v, dtype=float)
+        order = np.argsort(v, axis=None, kind="stable")
+        y = v.ravel()[order]
+        self.map_sorted(y)
+        out = np.empty(v.shape)
+        out.flat[order] = y
+        return out
 
     def map_sorted(self, v: np.ndarray) -> None:
-        """``v[:] = self(v)`` for non-decreasing v, bit for bit: each piece's
-        run of v at once, with its four scalar coefficients and two v-sized
-        scratch arrays."""
+        """``v[:]`` = the cubic at v, for non-decreasing v: each piece's run of v
+        at once, with its four scalar coefficients and two v-sized scratch
+        arrays, in scipy's PPoly order."""
         a, b = np.empty((2, v.size))
         # Piece p starts at the first value at or above inner knot x[p].
         ends = np.searchsorted(v, self.x[1:-1], side="left").tolist() + [v.size]
@@ -154,6 +155,8 @@ class DoseResponse:
             raise ValueError("surface knots must be strictly increasing in D")
         if ds[0] != 0.0 or knots[0][1] != 1.0:
             raise ValueError("surface must start at knot (0, 1): relative risk is 1 at D=0")
+        if any(rr <= 0 for _, rr in knots):
+            raise ValueError("surface relative risks must be > 0")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "rr", Pchip(np.array(ds), np.array([rr for _, rr in knots])))
 
@@ -187,15 +190,10 @@ def integral_attribution(response: DoseResponse, decomp: AnomalyDecomposition) -
         raise DomainCoverageError(
             f"anomaly {d_total} exceeds the last surface knot at D={last}")
 
-    rr = response.rr
-    natural = 100.0 * (float(rr(d0)) - float(rr(0.0)))
-    anthropogenic = 100.0 * (float(rr(d_total)) - float(rr(d0)))
+    rr_0, rr_d0, rr_total = response.rr(np.array([0.0, d0, d_total])).tolist()
+    natural = 100.0 * (rr_d0 - rr_0)
+    anthropogenic = 100.0 * (rr_total - rr_d0)
     return RiskAttribution(natural, anthropogenic, 1.0 + (natural + anthropogenic) / 100.0)
-
-
-def _ascending(a: np.ndarray) -> bool:
-    """Whether a is non-decreasing (never, if it holds a NaN)."""
-    return bool(np.all(a[:-1] <= a[1:]))
 
 
 def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
@@ -203,11 +201,11 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
     """The anthropogenic excess risk, beta_i * D'_i or 100 * (rr(D0 + D'_i) - rr(D0))
     from n draws of D' (DPRIME_STREAM) and beta (BETA_STREAM), and the fraction
     of D' draws above the total anomaly. Each chunk of one n-array is drawn,
-    counted and turned into its product or D0 + D' in place on the pool. A
-    product array is then sorted. D0 + D' is sorted before the map instead, so
-    each chunk maps whole pieces of rr; the excess is sorted again only if that
-    breaks its order (a falling or turning surface, draws past the knots, or
-    rounding at a knot)."""
+    counted and turned into its product or D0 + D' in place on the pool.
+    D0 + D' is sorted before the map, so each chunk maps whole pieces of rr.
+    The distribution sorts what is still out of order: any product array, and
+    an excess that a falling or turning surface, draws past the knots, or
+    rounding at a knot leave out of order."""
     draw_dprime = chunk_sampler(decomp.anthropogenic, RandomStream(seed, DPRIME_STREAM), n)
     beta, rr = response.beta, response.rr
     if beta is not None:
@@ -232,18 +230,16 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
     out.sort()
     rr0 = float(rr(decomp.natural))
 
-    def excess(i: int, chunk: np.ndarray) -> bool:
+    def excess(i: int, chunk: np.ndarray) -> None:
         # Mapped in halves, map_sorted's scratch is one chunk per thread.
         half = -(-chunk.size // 2)
         rr.map_sorted(chunk[:half])
         rr.map_sorted(chunk[half:])
         chunk -= rr0
         chunk *= 100.0
-        return _ascending(chunk)
 
-    ordered = all(map_chunks(excess, out)) and all(
-        out[lo - 1] <= out[lo] for lo in range(CHUNK_SIZE, n, CHUNK_SIZE))
-    return EmpiricalDistribution._from_owned(out, ordered=ordered), above / n
+    map_chunks(excess, out)
+    return EmpiricalDistribution._from_owned(out), above / n
 
 
 def analytic_product_moments(a: UncertainScalar, b: UncertainScalar) -> tuple[float, float]:

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import asdict, dataclass, field
 
 import yaml
@@ -148,6 +149,14 @@ def _finite(v, path) -> float:
     return f
 
 
+def _integer(value, path, minimum, requirement) -> int:
+    """value, if it is an integer (not a bool) of at least minimum; otherwise the
+    error "{path}: {requirement}"."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ScenarioError(f"{path}: {requirement}", path)
+    return value
+
+
 def _number(mapping, key, path, default=None, required=False):
     if key not in mapping:
         if required:
@@ -212,9 +221,7 @@ def parse_scenario(data, default_seed: int | None = None) -> ScenarioConfig:
     name = top.get("name")
     if not isinstance(name, str) or not name:
         raise ScenarioError("name: required non-empty string", "name")
-    year = top.get("year")
-    if not isinstance(year, int) or isinstance(year, bool):
-        raise ScenarioError("year: required integer", "year")
+    year = _integer(top.get("year"), "year", -math.inf, "required integer")
     anomaly_total = _number(top, "anomaly_total", "anomaly_total", required=True)
     if anomaly_total < 0:
         raise ScenarioError("anomaly_total: must be >= 0 (positive = adverse)",
@@ -228,12 +235,10 @@ def parse_scenario(data, default_seed: int | None = None) -> ScenarioConfig:
 
     mc = _require_mapping(top.get("mc", {}), "mc")
     _check_keys(mc, {"seed", "samples"}, "mc")
-    seed = mc.get("seed", default_seed if default_seed is not None else DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ScenarioError("mc.seed: must be a non-negative integer", "mc.seed")
-    samples = mc.get("samples", DEFAULT_SAMPLES)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
-        raise ScenarioError("mc.samples: must be an integer >= 2", "mc.samples")
+    seed = _integer(mc.get("seed", default_seed if default_seed is not None else DEFAULT_SEED),
+                    "mc.seed", 0, "must be a non-negative integer")
+    samples = _integer(mc.get("samples", DEFAULT_SAMPLES), "mc.samples", 2,
+                       "must be an integer >= 2")
     _check_fits(samples, _SAMPLE_BYTES, "mc.samples")
 
     report = _require_mapping(top.get("report", {}), "report")
@@ -245,10 +250,8 @@ def parse_scenario(data, default_seed: int | None = None) -> ScenarioConfig:
             or sorted(quantiles) != list(quantiles)):
         raise ScenarioError("report.quantiles: must be a sorted list of values in [0, 1]",
                             "report.quantiles")
-    bins = report.get("histogram_bins", DEFAULT_HISTOGRAM_BINS)
-    if not isinstance(bins, int) or isinstance(bins, bool) or bins < 1:
-        raise ScenarioError("report.histogram_bins: must be a positive integer",
-                            "report.histogram_bins")
+    bins = _integer(report.get("histogram_bins", DEFAULT_HISTOGRAM_BINS),
+                    "report.histogram_bins", 1, "must be a positive integer")
     _check_fits(bins, _BIN_BYTES, "report.histogram_bins")
     null_threshold = _number(report, "null_threshold", "report.null_threshold",
                              default=DEFAULT_NULL_THRESHOLD)
@@ -279,6 +282,24 @@ def apply_overrides(data: dict, overrides: dict[str, object]) -> dict:
     return data
 
 
+def _error_location(text: str, exc: Exception) -> str:
+    """" at line L, column C" (1-based) where the YAML error exc arose in text,
+    or "" for an error with no place, such as a constructor's ValueError."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark:
+        return f" at line {mark.line + 1}, column {mark.column + 1}"
+    if not isinstance(exc, yaml.reader.ReaderError):
+        return ""
+    # A reader error has only a position: an index into the characters under
+    # the pure-Python reader, into the UTF-8 bytes under libyaml.
+    if issubclass(YAML_LOADER, yaml.reader.Reader):
+        head = text[:exc.position]
+    else:
+        head = text.encode("utf-8")[:exc.position].decode("utf-8", "ignore")
+    lines = re.split("\r\n|[\r\n\x85\u2028\u2029]", head)
+    return f" at line {len(lines)}, column {len(lines[-1]) + 1}"
+
+
 def load_scenario(path, overrides: dict[str, object] | None = None,
                   default_seed: int | None = None) -> ScenarioConfig:
     """Load (with ``YAML_LOADER``: PyYAML's ``CSafeLoader`` where installed,
@@ -292,10 +313,8 @@ def load_scenario(path, overrides: dict[str, object] | None = None,
         raise ParseError(f"{path}: not readable: {exc.strerror}") from exc
     try:
         data = yaml.load(text, Loader=YAML_LOADER)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ParseError(f"{path}: parse error{loc}: {exc}") from exc
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date such as 2010-13-45
+        raise ParseError(f"{path}: parse error{_error_location(text, exc)}: {exc}") from exc
     if overrides:
         data = apply_overrides(_require_mapping(data, "scenario"), overrides)
     return parse_scenario(data, default_seed=default_seed)

@@ -112,6 +112,11 @@ def sample(q: UncertainScalar, stream: RandomStream, n: int) -> np.ndarray:
     return out
 
 
+def _ascending(a: np.ndarray) -> bool:
+    """Whether a is non-decreasing (never, if it holds a NaN)."""
+    return bool(np.all(a[:-1] <= a[1:]))
+
+
 @dataclass(frozen=True)
 class EmpiricalDistribution:
     """A finalized (sorted, finite) sample-based distribution."""
@@ -123,12 +128,13 @@ class EmpiricalDistribution:
         return cls._from_owned(np.array(samples, dtype=float))
 
     @classmethod
-    def _from_owned(cls, arr: np.ndarray, ordered: bool = False) -> "EmpiricalDistribution":
-        """Finalize a float array no one else holds: sorted in place, unless the
-        caller found each value at most the next (so none is NaN), then frozen."""
+    def _from_owned(cls, arr: np.ndarray) -> "EmpiricalDistribution":
+        """Finalize a float array no one else holds: sorted in place unless it is
+        non-decreasing (checked window by window, to the first out of order), then frozen."""
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("need at least 2 samples")
-        if not ordered:
+        if not all(_ascending(arr[lo:lo + CHUNK_SIZE + 1])
+                   for lo in range(0, arr.size - 1, CHUNK_SIZE)):
             arr.sort()
         # In order, -inf comes first and +inf and NaN last, so the ends tell.
         if not (np.isfinite(arr[0]) and np.isfinite(arr[-1])):

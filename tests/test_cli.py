@@ -86,7 +86,9 @@ class TestAttribute:
     @pytest.mark.parametrize("knot, message", [
         ("[3, null]", "expected a number, got None"),
         ("[3, .inf]", "must be finite, got inf"),
-    ], ids=["null", "inf"])
+        ("[1, 0.5], [3, -2]", "surface relative risks must be > 0"),
+        ("[3, 0]", "surface relative risks must be > 0"),
+    ], ids=["null", "inf", "rr-negative", "rr-zero"])
     def test_bad_knot_is_usage_error(self, capsys, knot, message):
         code, out, err = run(capsys, "report", SYRIA, "--set",
                              f"dose_response={{kind: surface, knots: [[0, 1], {knot}]}}")

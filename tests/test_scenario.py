@@ -164,13 +164,15 @@ PARITY_DOCS = {
     "merge_key": lambda: MERGE_YAML.encode(),
 }
 
-# Malformed documents and where both loaders place the error (None: a reader
-# error, which carries no line or column under either).
+# Malformed documents and where both loaders place the error. A control
+# character is a reader error, placed from its position: a character index
+# under the pure loader, a UTF-8 byte offset under libyaml.
 MALFORMED = {
     "name: x\n  year: : :\n": "line 2, column 7",
     "a: [1\n": "line 2, column 1",
     "a: 1\n\tb: 2\n": "line 2, column 1",
-    "name: x\x07\n": None,
+    "name: x\x07\n": "line 1, column 8",
+    "a: \u00e9\U0001F30D\r\nname: x\x07\n": "line 2, column 8",
 }
 
 
@@ -213,7 +215,8 @@ class TestYamlLoader:
         path.write_text(NON_BMP_YAML, encoding="utf-8")
         assert load_scenario(path).name == "\U0001F30D syria"
 
-    @pytest.mark.parametrize("text", MALFORMED, ids=["mapping", "flow", "tab-indent", "control"])
+    @pytest.mark.parametrize("text", MALFORMED,
+                             ids=["mapping", "flow", "tab-indent", "control", "control-after-utf8"])
     def test_same_error_location(self, loader, text, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text(text, encoding="utf-8")
@@ -221,6 +224,19 @@ class TestYamlLoader:
             load_scenario(path)
         assert _location(str(exc.value)) == MALFORMED[text]
         assert exc.value.field == ""
+
+    def test_impossible_date_is_usage_error(self, loader, tmp_path, capsys):
+        # The safe constructor raises a plain ValueError for a date-shaped scalar
+        # that is no date.
+        path = tmp_path / "date.yaml"
+        path.write_text(yaml.safe_dump(minimal(), sort_keys=False)
+                        .replace("year: 2010", "year: 2010-13-45"), encoding="utf-8")
+        with pytest.raises(ParseError, match="parse error: month must be in 1..12"):
+            load_scenario(path)
+        assert cli.main(["report", str(path)]) == 2
+        assert cli.main(["report", str(SYRIA), "--set", "name=2010-13-45"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: --set name: '2010-13-45': month must be in 1..12"
 
     def test_python_tag_is_rejected_and_never_run(self, loader, tmp_path, monkeypatch):
         ran = []

@@ -223,6 +223,24 @@ class TestEmpiricalDistribution:
         assert d.samples.tolist() == [1, 2, 3]
         assert d.sample_count == 3
 
+    @pytest.mark.parametrize("at", [1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1,
+                                    2 * CHUNK_SIZE + 4])
+    def test_one_descent_anywhere_is_sorted(self, at):
+        # The order is checked in windows of CHUNK_SIZE + 1 values that
+        # overlap by one, so a descent at a window join is seen too.
+        values = np.arange(2 * CHUNK_SIZE + 5.0)
+        values[[at - 1, at]] = values[[at, at - 1]]
+        assert np.array_equal(dist(values).samples, np.arange(2 * CHUNK_SIZE + 5.0))
+
+    def test_non_decreasing_signed_zeros_keep_their_bits(self):
+        # -0.0 == 0.0, so mixed signed zeros are in order already and are
+        # not sorted, which would leave their order unspecified.
+        values = np.zeros(CHUNK_SIZE + 3)
+        values[::3] = -0.0
+        values[0], values[-1] = -1.0, 1.0
+        bits = values.tobytes()
+        assert EmpiricalDistribution._from_owned(values).samples.tobytes() == bits
+
     def test_from_samples_leaves_caller_array_alone(self):
         values = np.array([3.0, 1.0, 2.0])
         d = dist(values)
