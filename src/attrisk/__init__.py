@@ -30,7 +30,6 @@ from .scenario import (  # noqa: E402,F401
     ScenarioRuntimeError,
     emit_report,
     load_scenario,
-    parse_report,
     parse_scenario,
     run_scenario,
 )

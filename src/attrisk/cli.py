@@ -22,12 +22,11 @@ from importlib import resources
 
 import yaml
 
-from . import __version__
+from . import __version__, scenario
 from .engine import analytic_product_moments
 from .scenario import (
     DEFAULT_SAMPLES,
     FORMATS,
-    YAML_LOADER,
     ScenarioError,
     emit_report,
     load_scenario,
@@ -53,7 +52,7 @@ def _parse_set(pairs: list[str]) -> dict[str, object]:
         if not key:
             raise ScenarioError(f"--set expects a dotted key, got {pair!r}")
         try:
-            overrides[key] = yaml.load(raw, Loader=YAML_LOADER)
+            overrides[key] = yaml.load(raw, Loader=scenario.YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"--set {key}: not a YAML value: {raw!r}", key) from exc
         except ValueError as exc:  # a date such as 2010-13-45

@@ -369,16 +369,21 @@ class TestRuntimeFailure:
         assert "cli_surface" in err and "last surface knot" in err
 
 
+def fresh_env():
+    """The environment for a new interpreter that imports this attrisk."""
+    env = {k: v for k, v in os.environ.items() if k != "ATTRISK_SEED"}
+    src = str(Path(attrisk.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_fresh(*argv):
     """Run ``main(argv)`` in a new interpreter; return (exit code, scipy loaded)."""
     child = ("import sys, attrisk.cli\n"
              "code = attrisk.cli.main(sys.argv[1:])\n"
              "print('scipy loaded:', 'scipy' in sys.modules, file=sys.stderr)\n"
              "sys.exit(code)\n")
-    env = {k: v for k, v in os.environ.items() if k != "ATTRISK_SEED"}
-    src = str(Path(attrisk.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", child, *argv], env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
     last = proc.stderr.splitlines()[-1]
     assert last.startswith("scipy loaded: "), proc.stderr
@@ -401,3 +406,29 @@ class TestColdStart:
 
     def test_surface_scenario_never_loads_scipy(self, surface_scenario):
         assert run_fresh("attribute", surface_scenario) == (0, False)
+
+
+#: Configs whose results leave the float range: a subnormal knot spacing that
+#: overflows the cubic's slope, a product beyond 1.8e308, and a dispersion so
+#: wide that the samples' sum overflows.
+NON_FINITE_SETS = {
+    "subnormal-knots": ["dose_response={kind: surface, knots: [[0, 1], [1.0e-310, 2], [3, 3]]}",
+                        "anomaly_total=2", "anthropogenic.value=0.5"],
+    "huge-beta": ["dose_response.value=1.0e+308", "dose_response.dispersion=0",
+                  "anomaly_total=10", "anthropogenic.value=1", "anthropogenic.dispersion=0.01"],
+    "huge-dispersion": ["dose_response.value=0", "dose_response.dispersion=3.0e+307",
+                        "anomaly_total=10", "anthropogenic.value=1",
+                        "anthropogenic.dispersion=0"],
+}
+
+
+@pytest.mark.parametrize("sets", NON_FINITE_SETS.values(), ids=NON_FINITE_SETS)
+def test_non_finite_result_is_usage_error(sets):
+    # A new interpreter: numpy's overflow warnings stay warnings, as for users.
+    argv = ["report", SYRIA, "--samples", "2000"]
+    for pair in sets:
+        argv += ["--set", pair]
+    proc = subprocess.run([sys.executable, "-m", "attrisk.cli", *argv], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "not a finite number" in proc.stderr.splitlines()[-1]

@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import re
 import tracemalloc
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import attrisk
 from attrisk import cli, engine, scenario, uq
@@ -18,7 +20,6 @@ from attrisk.scenario import (
     UnknownKeyError,
     emit_report,
     load_scenario,
-    parse_report,
     parse_scenario,
     run_scenario,
 )
@@ -165,14 +166,16 @@ PARITY_DOCS = {
 }
 
 # Malformed documents and where both loaders place the error. A control
-# character is a reader error, placed from its position: a character index
-# under the pure loader, a UTF-8 byte offset under libyaml.
+# character is a reader error, which carries no mark: it is placed at the
+# first occurrence of the code point the reader refused, anywhere in the
+# text, comments included.
 MALFORMED = {
     "name: x\n  year: : :\n": "line 2, column 7",
     "a: [1\n": "line 2, column 1",
     "a: 1\n\tb: 2\n": "line 2, column 1",
     "name: x\x07\n": "line 1, column 8",
     "a: \u00e9\U0001F30D\r\nname: x\x07\n": "line 2, column 8",
+    "# caf\u00e9 \x07\nname: x\x07\n": "line 1, column 8",
 }
 
 
@@ -181,22 +184,68 @@ def _location(message):
     return message[at + 4:message.index(":", at)] if at >= 0 else None
 
 
-@pytest.fixture(params=[scenario.YAML_LOADER, yaml.SafeLoader],
-                ids=["YAML_LOADER", "SafeLoader"])
+#: The installed loader and its pure-Python twin from the same factory.
+LOADERS = [scenario.YAML_LOADER, scenario._core_schema_loader(yaml.SafeLoader)]
+
+
+@pytest.fixture(params=LOADERS, ids=["YAML_LOADER", "SafeLoader"])
 def loader(request, monkeypatch):
     """Parse scenario files and --set values with each loader in turn."""
     monkeypatch.setattr(scenario, "YAML_LOADER", request.param)
-    monkeypatch.setattr(cli, "YAML_LOADER", request.param)
     return request.param
+
+
+# Numbers as the YAML 1.2 core schema reads them (decimal integers only), and
+# the other forms YAML 1.1 would read as numbers, which are now strings.
+NUMBER_FORMS = {
+    "010": 10,
+    "08": 8,
+    "1:30": "expected a number, got '1:30'",
+    "1_000": "expected a number, got '1_000'",
+    "0x10": "expected a number, got '0x10'",
+    "1e-3": 0.001,
+    "1.0e3": 1000.0,
+    "1E5": 100000.0,
+    ".inf": "must be finite, got inf",
+}
 
 
 class TestYamlLoader:
     def test_libyaml_loader_is_used_where_installed(self):
-        if yaml.__with_libyaml__:
-            assert scenario.YAML_LOADER is yaml.CSafeLoader
-        else:
-            assert scenario.YAML_LOADER is yaml.SafeLoader
-        assert cli.YAML_LOADER is scenario.YAML_LOADER
+        base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert scenario.YAML_LOADER.__bases__ == (base,)
+
+    @pytest.mark.parametrize("form", NUMBER_FORMS)
+    def test_numbers_read_as_yaml_1_2(self, loader, form, tmp_path):
+        expected = NUMBER_FORMS[form]
+        path = tmp_path / "doc.yaml"
+        path.write_text(yaml.safe_dump(minimal(), sort_keys=False)
+                        .replace("anomaly_total: 2.48", f"anomaly_total: {form}"),
+                        encoding="utf-8")
+        overrides = cli._parse_set([f"anomaly_total={form}"])
+        for run in (lambda: load_scenario(path), lambda: load_scenario(SYRIA, overrides)):
+            if isinstance(expected, str):
+                with pytest.raises(ScenarioError, match=f"anomaly_total: {re.escape(expected)}"):
+                    run()
+            else:
+                assert run().anomaly_total == expected
+
+    def test_seed_010_is_ten_from_every_source(self, loader, monkeypatch, capsys):
+        args = ["report", str(SYRIA), "--samples", "100"]
+        assert cli.main([*args, "--set", "mc.seed=010"]) == 0
+        assert cli.main([*args, "--seed", "010"]) == 0
+        monkeypatch.setenv(cli.ENV_SEED, "010")
+        assert cli.main([*args, "--set", "mc={samples: 100}"]) == 0
+        reports = capsys.readouterr().out.split("\n}\n")[:-1]
+        assert [json.loads(r + "}")["provenance"]["seed"] for r in reports] == [10, 10, 10]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(), st.floats(allow_nan=False)))
+    def test_dumped_numbers_load_back(self, number):
+        # Scenario files written by yaml.safe_dump (1.1 spellings such as
+        # 1.0e-05 and .inf) read back as the same numbers.
+        for loader in LOADERS:
+            assert yaml.load(yaml.safe_dump({"x": number}), Loader=loader) == {"x": number}
 
     @pytest.mark.parametrize("doc", PARITY_DOCS.values(), ids=PARITY_DOCS)
     def test_same_data(self, loader, doc, tmp_path):
@@ -216,7 +265,8 @@ class TestYamlLoader:
         assert load_scenario(path).name == "\U0001F30D syria"
 
     @pytest.mark.parametrize("text", MALFORMED,
-                             ids=["mapping", "flow", "tab-indent", "control", "control-after-utf8"])
+                             ids=["mapping", "flow", "tab-indent", "control", "control-after-utf8",
+                                  "control-in-comment"])
     def test_same_error_location(self, loader, text, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text(text, encoding="utf-8")
@@ -256,7 +306,7 @@ class TestYamlLoader:
         path = tmp_path / "tab.yaml"
         path.write_text(yaml.safe_dump(minimal(), sort_keys=False)
                         .replace("name: toy", "name:\ttoy"), encoding="utf-8")
-        if loader is yaml.SafeLoader:
+        if issubclass(loader, yaml.reader.Reader):
             with pytest.raises(ParseError) as exc:
                 load_scenario(path)
             assert _location(str(exc.value)) == "line 1, column 6"
@@ -315,6 +365,22 @@ class TestMemoryBound:
             tracemalloc.stop()
         assert peak < 8 * n + 8 * CHUNK_SIZE * (workers + 1) + 2 ** 20
         assert scenario._SAMPLE_BYTES == 8
+
+    @pytest.mark.parametrize("format", scenario.FORMATS)
+    def test_run_and_emit_stay_within_bin_bytes(self, format):
+        # Each bin costs its tuple in the bundle and its text in the report,
+        # far more than its edge and count as float64; few samples keep the
+        # sample array out of the peak.
+        bins = 10_000
+        cfg = parse_scenario(minimal(mc={"samples": 1000}, report={"histogram_bins": bins}))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            emit_report(run_scenario(cfg), format)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / bins <= scenario._BIN_BYTES
 
 
 class TestDigest:
@@ -411,6 +477,15 @@ class TestRunScenario:
             run_scenario(cfg)
         assert "short_surface" in str(exc.value)
 
+    @pytest.mark.parametrize("edges", [(0.0, math.inf), (math.nan, 1.0)], ids=["upper", "lower"])
+    def test_non_finite_histogram_edge_is_config_error(self, monkeypatch, edges):
+        # Samples spanning (-1e308, 1e308) can have finite statistics but not
+        # a finite bin width; a stand-in histogram gives such edges.
+        bins = [(0.0, 0.5, 1), (0.5, 1.0, 1), (*edges, 98)]
+        monkeypatch.setattr(scenario, "histogram", lambda dist, count: bins)
+        with pytest.raises(ScenarioError, match="histogram edge is (inf|nan), not a finite"):
+            run_scenario(parse_scenario(minimal(mc={"samples": 100})))
+
     def test_runtime_failures_are_not_config_errors(self, monkeypatch):
         def disagree(response, decomp):
             raise ArithmeticError("paths disagree")
@@ -459,18 +534,6 @@ class TestEmission:
         lines = emit_report(run_scenario(cfg), "csv").decode().splitlines()
         values = {line.split(",")[4] for line in lines if line.startswith("quantile")}
         assert len(values) == 1
-
-    def test_json_round_trip(self, small_bundle):
-        blob = emit_report(small_bundle, "json")
-        parsed = parse_report(blob)
-        assert emit_report(parsed, "json") == blob
-        assert parsed.scenario == small_bundle.scenario
-        assert parsed.p_value == pytest.approx(small_bundle.p_value, rel=1e-11)
-        assert parsed.attribution.natural_excess == \
-            pytest.approx(small_bundle.attribution.natural_excess, rel=1e-11)
-        assert parsed.distribution_summary.median == \
-            pytest.approx(small_bundle.distribution_summary.median, rel=1e-11)
-        assert [c for _, _, c in parsed.histogram] == [c for _, _, c in small_bundle.histogram]
 
     def test_unknown_format_rejected(self, small_bundle):
         with pytest.raises(ValueError):
