@@ -25,9 +25,9 @@ import yaml
 from . import __version__, scenario
 from .engine import analytic_product_moments
 from .scenario import (
-    DEFAULT_SAMPLES,
     FORMATS,
     ScenarioError,
+    apply_overrides,
     emit_report,
     load_scenario,
     parse_scenario,
@@ -36,11 +36,21 @@ from .scenario import (
 
 ENV_SEED = "ATTRISK_SEED"
 
-# The scenario field each propagate flag fills; --dprime also sets the total.
-PROPAGATE_FLAGS = {"anomaly_total": "--dprime", "anthropogenic.value": "--dprime",
-                   "anthropogenic.dispersion": "--dprime-sd", "dose_response.value": "--beta",
-                   "dose_response.dispersion": "--beta-sd", "mc.seed": "--seed",
-                   "mc.samples": "--samples"}
+# The scenario field each numeric flag fills.
+FLAG_FIELDS = {"--seed": "mc.seed", "--samples": "mc.samples",
+               "--beta": "dose_response.value", "--beta-sd": "dose_response.dispersion",
+               "--dprime": "anthropogenic.value", "--dprime-sd": "anthropogenic.dispersion"}
+
+
+def _read(name: str, raw: str):
+    """raw (from argv or the environment) read as one YAML value by the scenario
+    number rules; an error names name."""
+    try:
+        return yaml.load(raw, Loader=scenario.YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise ScenarioError(f"{name}: not a YAML value: {raw!r}", name) from exc
+    except ValueError as exc:  # a date such as 2010-13-45
+        raise ScenarioError(f"{name}: {raw!r}: {exc}", name) from exc
 
 
 def _parse_set(pairs: list[str]) -> dict[str, object]:
@@ -51,12 +61,7 @@ def _parse_set(pairs: list[str]) -> dict[str, object]:
         key, _, raw = pair.partition("=")
         if not key:
             raise ScenarioError(f"--set expects a dotted key, got {pair!r}")
-        try:
-            overrides[key] = yaml.load(raw, Loader=scenario.YAML_LOADER)
-        except yaml.YAMLError as exc:
-            raise ScenarioError(f"--set {key}: not a YAML value: {raw!r}", key) from exc
-        except ValueError as exc:  # a date such as 2010-13-45
-            raise ScenarioError(f"--set {key}: {raw!r}: {exc}", key) from exc
+        overrides[key] = _read(f"--set {key}", raw)
     return overrides
 
 
@@ -64,26 +69,33 @@ def _env_default_seed() -> int | None:
     raw = os.environ.get(ENV_SEED)
     if raw is None:
         return None
+    return scenario._integer(_read(ENV_SEED, raw), ENV_SEED, 0, "must be a non-negative integer")
+
+
+def _load(args, template: dict | None = None) -> "ScenarioConfig":
+    """The command's scenario: propagate's template, or the file args.scenario
+    with its --set overrides; then each numeric flag given, on its field. An
+    error in a field that a flag filled names the flag."""
+    flags = {field: _read(flag, raw) for flag, field in FLAG_FIELDS.items()
+             if (raw := getattr(args, flag[2:].replace("-", "_"), None)) is not None}
+    overrides = {**_parse_set(getattr(args, "set", [])), **flags}
+    default_seed = _env_default_seed()
     try:
-        seed = int(raw)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise ScenarioError(f"{ENV_SEED} must be a non-negative integer, got {raw!r}",
-                            ENV_SEED)
-    return seed
-
-
-def _load(args) -> "ScenarioConfig":
-    if not os.path.isfile(args.scenario):
-        raise ScenarioError(f"file not found: {args.scenario}")
-    overrides = _parse_set(args.set)
-    # Precedence: built-in default < ATTRISK_SEED < file < --set < --seed/--samples.
-    if args.seed is not None:
-        overrides["mc.seed"] = args.seed
-    if args.samples is not None:
-        overrides["mc.samples"] = args.samples
-    return load_scenario(args.scenario, overrides, default_seed=_env_default_seed())
+        if template is None:
+            # Precedence: built-in default < ATTRISK_SEED < file < --set < flags.
+            return load_scenario(args.scenario, overrides, default_seed=default_seed)
+        data = apply_overrides(template, overrides)
+        # D' also sets the total, which never falls below it, so no
+        # decomposition warning fires; the total does not enter beta * D'.
+        data["anomaly_total"] = max(scenario._finite(flags["anthropogenic.value"],
+                                                     "anthropogenic.value"), 0.0)
+        return parse_scenario(data, default_seed=default_seed)
+    except ScenarioError as exc:
+        flag = next((f for f, field in FLAG_FIELDS.items()
+                     if field == exc.field and field in flags), None)
+        if flag is None:
+            raise
+        raise ScenarioError(str(exc).replace(exc.field, flag, 1), flag) from exc
 
 
 def _write(payload: bytes, out_path: str | None):
@@ -108,23 +120,7 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    # The flags become a linear scenario. Its total anomaly never falls below
-    # D', so no decomposition warning fires; the total does not enter beta * D'.
-    data = {
-        "name": "propagate", "year": 0, "anomaly_total": max(args.dprime, 0.0),
-        "anthropogenic": {"value": args.dprime, "dispersion": args.dprime_sd},
-        "dose_response": {"kind": "linear", "value": args.beta, "dispersion": args.beta_sd},
-        "mc": {"samples": args.samples},
-    }
-    if args.seed is not None:
-        data["mc"]["seed"] = args.seed
-    try:
-        cfg = parse_scenario(data, default_seed=_env_default_seed())
-    except ScenarioError as exc:
-        flag = PROPAGATE_FLAGS.get(exc.field)
-        if flag is None:
-            raise
-        raise ScenarioError(str(exc).replace(exc.field, flag), flag) from exc
+    cfg = _load(args, {"name": "propagate", "year": 0, "dose_response": {"kind": "linear"}})
     r = run_scenario(cfg)
     s = r.distribution_summary
     print(f"samples: {r.provenance['samples']}  seed: {r.provenance['seed']}")
@@ -186,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write report to this path")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", default=[],
                        help="override a config field by dotted path (repeatable)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
+        p.add_argument("--seed")
+        p.add_argument("--samples")
 
     p_attr = sub.add_parser("attribute", help="run a scenario and emit its report")
     add_scenario_args(p_attr, "human")
@@ -198,20 +194,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=cmd_attribute)
 
     p_prop = sub.add_parser("propagate", help="raw two-factor uncertainty propagation")
-    p_prop.add_argument("--beta", type=float, required=True,
+    p_prop.add_argument("--beta", required=True,
                         help="dose-response coefficient, percent per sigma")
-    p_prop.add_argument("--beta-sd", type=float, default=0.0)
-    p_prop.add_argument("--dprime", type=float, required=True,
+    p_prop.add_argument("--beta-sd")
+    p_prop.add_argument("--dprime", required=True,
                         help="anthropogenic anomaly component, sigma")
-    p_prop.add_argument("--dprime-sd", type=float, default=0.0)
-    p_prop.add_argument("--seed", type=int, default=None)
-    p_prop.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p_prop.add_argument("--dprime-sd")
+    p_prop.add_argument("--seed")
+    p_prop.add_argument("--samples")
     p_prop.set_defaults(func=cmd_propagate)
 
     p_self = sub.add_parser("selftest", help="replay the bundled canonical scenario")
     p_self.add_argument("--set", action="append", metavar="KEY=VALUE", default=[])
-    p_self.add_argument("--seed", type=int, default=None)
-    p_self.add_argument("--samples", type=int, default=None)
+    p_self.add_argument("--seed")
+    p_self.add_argument("--samples")
     p_self.set_defaults(func=cmd_selftest,
                         scenario=str(resources.files("attrisk") / "scenarios/syria_2010.yaml"))
 

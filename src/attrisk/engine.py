@@ -157,8 +157,14 @@ class DoseResponse:
             raise ValueError("surface must start at knot (0, 1): relative risk is 1 at D=0")
         if any(rr <= 0 for _, rr in knots):
             raise ValueError("surface relative risks must be > 0")
+        # Knots a subnormal distance apart, or relative risks near the float
+        # limit, overflow the cubic's slopes: refuse them before any draw.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            cubic = Pchip(np.array(ds), np.array([rr for _, rr in knots]))
+        if not np.isfinite(cubic.c).all():
+            raise ValueError("the cubic through these knots leaves the float range")
         object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "rr", Pchip(np.array(ds), np.array([rr for _, rr in knots])))
+        object.__setattr__(self, "rr", cubic)
 
 
 @dataclass(frozen=True)

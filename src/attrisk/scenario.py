@@ -16,6 +16,7 @@ import os
 import re
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -326,6 +327,8 @@ def load_scenario(path, overrides: dict[str, object] | None = None,
                   default_seed: int | None = None) -> ScenarioConfig:
     """Load (with ``YAML_LOADER``: PyYAML's ``CSafeLoader`` where installed,
     else ``SafeLoader``), override, and strictly validate a scenario file."""
+    if not os.path.isfile(path):  # a device or a FIFO would be read as a document
+        raise ParseError(f"file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -367,13 +370,16 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
     the same D' draws, chunk by chunk.
     """
     try:
-        decomp = decompose_anomaly(cfg.anomaly_total, cfg.anthropogenic)
-        attribution = integral_attribution(cfg.dose_response, decomp)
-        dist, exceedance = propagate(cfg.dose_response, decomp, cfg.seed, cfg.samples)
-        summary = summarize(dist)
-        p_value = tail_probability(dist, cfg.null_threshold)
-        hist = tuple(histogram(dist, cfg.histogram_bins))
-        quantile_rows = tuple((q, percentile(dist, q)) for q in cfg.quantiles)
+        # A value that leaves the float range is refused below (or, among the
+        # samples, by the distribution), so numpy need not warn on the way.
+        with np.errstate(over="ignore", invalid="ignore"):
+            decomp = decompose_anomaly(cfg.anomaly_total, cfg.anthropogenic)
+            attribution = integral_attribution(cfg.dose_response, decomp)
+            dist, exceedance = propagate(cfg.dose_response, decomp, cfg.seed, cfg.samples)
+            summary = summarize(dist)
+            p_value = tail_probability(dist, cfg.null_threshold)
+            hist = tuple(histogram(dist, cfg.histogram_bins))
+            quantile_rows = tuple((q, percentile(dist, q)) for q in cfg.quantiles)
         # JSON has no NaN or Infinity (RFC 8259): a run that left the float
         # range reports nothing. Each bin's upper edge is the next one's lower.
         for key, value in [*vars(attribution).items(), *vars(summary).items(),

@@ -44,11 +44,18 @@ if hasattr(os, "register_at_fork"):  # Unix only
 
 def map_chunks(work: Callable[[int, np.ndarray], object], out: np.ndarray) -> list:
     """``work(i, chunk)`` for each CHUNK_SIZE view into out, on the pool when
-    there is more than one; the results in order (re-raising a worker's error)."""
+    there is more than one, under the caller's numpy error state as inline;
+    the results in order (re-raising a worker's error)."""
     chunks = [out[lo:lo + CHUNK_SIZE] for lo in range(0, out.size, CHUNK_SIZE)]
     if len(chunks) == 1:
         return [work(0, chunks[0])]
-    return list(_pool.map(work, range(len(chunks)), chunks))
+    errors = np.geterr()  # a pool thread starts from numpy's default
+
+    def pooled(i: int, chunk: np.ndarray):
+        with np.errstate(**errors):
+            return work(i, chunk)
+
+    return list(_pool.map(pooled, range(len(chunks)), chunks))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,16 @@ def surface_scenario(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def no_sampler(monkeypatch):
+    """Fails a test that reaches a random draw."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a sampler was reached")
+
+    for owner, name in [(engine, "map_chunks"), (RandomStream, "generators")]:
+        monkeypatch.setattr(owner, name, unreachable)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -95,6 +105,48 @@ class TestAttribute:
         assert code == 2
         assert out == ""
         assert err == f"error: dose_response.knots: {message}\n"
+
+    def test_subnormal_knot_spacing_is_usage_error(self, capsys, no_sampler):
+        # Refused before any draw, with stderr the one error line: under the
+        # suite's warnings-as-errors, a numpy RuntimeWarning would exit 1.
+        knots = "[[0, 1], [1.0e-310, 2], [3, 3]]"
+        code, out, err = run(capsys, "report", SYRIA, "--set",
+                             f"dose_response={{kind: surface, knots: {knots}}}")
+        assert (code, out) == (2, "")
+        assert err == ("error: dose_response.knots: "
+                       "the cubic through these knots leaves the float range\n")
+
+    def test_overflowing_end_cubic_is_usage_error(self, capsys):
+        # Knots 1.3e-101 apart give finite coefficients up to 1.2e306, so the
+        # left end cubic overflows at draws below D = 0. Under the suite's
+        # warnings-as-errors, numpy's overflow warning would exit 1.
+        knots = "[[0, 1], [1.3264643138277816e-101, 2857.0], [1, 1], [2, 1], [3, 1]]"
+        code, out, err = run(capsys, "report", SYRIA, "--seed", "0", "--samples", "4",
+                             "--set", f"dose_response={{kind: surface, knots: {knots}}}",
+                             "--set", "anomaly_total=0",
+                             "--set", "anthropogenic={value: 0, dispersion: 1}")
+        assert (code, out) == (2, "")
+        assert err == "error: scenario 'syria_2010': samples must be finite\n"
+
+    @pytest.mark.parametrize("argv, seed_variable, name", [
+        (["report", SYRIA, "--seed=-1"], None, "--seed"),
+        (["selftest", "--seed=-1"], None, "--seed"),
+        (["attribute", SYRIA, "--seed=1_0"], None, "--seed"),
+        (["report", SYRIA, "--seed=\u0663"], None, "--seed"),
+        (["attribute", SYRIA, "--samples=1_000"], None, "--samples"),
+        (["selftest", "--samples=[1"], None, "--samples"),
+        (["report", SYRIA, "--samples=100"], "1_0", "ATTRISK_SEED"),
+        (["propagate", "--beta=3.54", "--dprime=1.08", "--samples=100"], "1_0", "ATTRISK_SEED"),
+    ], ids=["report-negative-seed", "selftest-negative-seed", "underscore-seed",
+            "arabic-indic-seed", "underscore-samples", "samples-not-yaml",
+            "underscore-variable", "propagate-underscore-variable"])
+    def test_bad_flag_or_seed_variable_is_named(self, capsys, monkeypatch, argv,
+                                                seed_variable, name):
+        if seed_variable is not None:
+            monkeypatch.setenv("ATTRISK_SEED", seed_variable)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {name}: ") and "mc." not in err
 
     def test_malformed_set_flag(self, capsys):
         code, _, err = run(capsys, "attribute", SYRIA, "--set", "noequals")
@@ -234,6 +286,8 @@ class TestPropagate:
         ("--beta", "nan"), ("--beta", "inf"), ("--beta", "-inf"),
         ("--dprime", "nan"), ("--dprime", "inf"),
         ("--samples", "1"), ("--samples", "0"), ("--seed", "-1"),
+        ("--beta", "1_0"), ("--beta", "\u0663.5"), ("--dprime", "[1"),
+        ("--seed", "1_0"), ("--seed", "\u0663"), ("--samples", "1_000"),
     ])
     def test_bad_numeric_flag_is_usage_error(self, capsys, flag, value, dispersions):
         argv = {"--beta": "3.54", "--dprime": "1.08", "--samples": "100", flag: value}
@@ -241,7 +295,7 @@ class TestPropagate:
                              *(f"{k}={v}" for k, v in argv.items()))
         assert code == 2
         assert out == ""
-        assert flag in err
+        assert err.startswith(f"error: {flag}: ")
 
     def test_negative_env_seed_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("ATTRISK_SEED", "-1")
@@ -253,13 +307,8 @@ class TestPropagate:
 
     @pytest.mark.parametrize("dispersions", [[], ["--beta-sd", "1.2", "--dprime-sd", "0.37"]],
                              ids=["point", "normal"])
-    def test_samples_beyond_physical_memory_is_usage_error(self, capsys, monkeypatch,
+    def test_samples_beyond_physical_memory_is_usage_error(self, capsys, no_sampler,
                                                            dispersions):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("a sampler was reached")
-
-        for owner, name in [(engine, "map_chunks"), (RandomStream, "generators")]:
-            monkeypatch.setattr(owner, name, unreachable)
         code, out, err = run(capsys, "propagate", "--beta", "3.54", "--dprime", "1.08",
                              *dispersions, "--samples", str(10 ** 15))
         assert code == 2
@@ -294,12 +343,7 @@ class TestSelftest:
             "null_rejection", "mc_moments"]
         assert lines[6].startswith("PASS")
 
-    def test_surface_scenario_is_usage_error(self, capsys, monkeypatch):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("a sampler was reached")
-
-        for owner, name in [(engine, "map_chunks"), (RandomStream, "generators")]:
-            monkeypatch.setattr(owner, name, unreachable)
+    def test_surface_scenario_is_usage_error(self, capsys, no_sampler):
         code, out, err = run(capsys, "selftest", "--set",
                              "dose_response={kind: surface, knots: [[0, 1], [3, 1.2]]}",
                              "--samples", "20000")
@@ -408,12 +452,9 @@ class TestColdStart:
         assert run_fresh("attribute", surface_scenario) == (0, False)
 
 
-#: Configs whose results leave the float range: a subnormal knot spacing that
-#: overflows the cubic's slope, a product beyond 1.8e308, and a dispersion so
-#: wide that the samples' sum overflows.
+#: Configs whose results leave the float range: a product beyond 1.8e308, and
+#: a dispersion so wide that the samples' sum overflows.
 NON_FINITE_SETS = {
-    "subnormal-knots": ["dose_response={kind: surface, knots: [[0, 1], [1.0e-310, 2], [3, 3]]}",
-                        "anomaly_total=2", "anthropogenic.value=0.5"],
     "huge-beta": ["dose_response.value=1.0e+308", "dose_response.dispersion=0",
                   "anomaly_total=10", "anthropogenic.value=1", "anthropogenic.dispersion=0.01"],
     "huge-dispersion": ["dose_response.value=0", "dose_response.dispersion=3.0e+307",
@@ -424,11 +465,13 @@ NON_FINITE_SETS = {
 
 @pytest.mark.parametrize("sets", NON_FINITE_SETS.values(), ids=NON_FINITE_SETS)
 def test_non_finite_result_is_usage_error(sets):
-    # A new interpreter: numpy's overflow warnings stay warnings, as for users.
+    # A new interpreter, whose numpy warnings are not errors, as for users:
+    # the one line on stderr is the error, with no numpy warning before it.
     argv = ["report", SYRIA, "--samples", "2000"]
     for pair in sets:
         argv += ["--set", pair]
     proc = subprocess.run([sys.executable, "-m", "attrisk.cli", *argv], env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert "not a finite number" in proc.stderr.splitlines()[-1]
+    [line] = proc.stderr.splitlines()
+    assert "not a finite number" in line

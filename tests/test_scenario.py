@@ -53,6 +53,11 @@ class TestLoading:
         assert cfg.seed == 20150302
         assert cfg.samples == 1_000_000
 
+    def test_device_is_not_a_scenario_file(self):
+        # Read as a document, /dev/null would be an empty one and /dev/zero endless.
+        with pytest.raises(ParseError, match=f"^file not found: {re.escape(os.devnull)}$"):
+            load_scenario(os.devnull)
+
     def test_defaults_fill_when_blocks_omitted(self):
         cfg = parse_scenario(minimal())
         assert cfg.seed == DEFAULT_SEED

@@ -174,6 +174,14 @@ class TestChunkParallel:
         assert np.array_equal(sample(NORMAL, RandomStream(SEED, 1), CHUNK_SIZE),
                               serial_chunks(SEED, 1, CHUNK_SIZE))
 
+    @pytest.mark.parametrize("n", SIZES[1:])
+    def test_chunks_run_under_the_callers_error_state(self, n):
+        def overflow(i, chunk):
+            chunk *= 10.0
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            uq.map_chunks(overflow, np.full(n, 1e308))
+
     def test_import_starts_no_thread(self):
         proc = _run_child("import threading, attrisk\n"
                           "print([t.name for t in threading.enumerate()])\n")
