@@ -12,7 +12,8 @@ percent; the relative-risk multiplier is dimensionless. An input of dispersion
 its excess risk in place, on the ``uq`` pool, and counts the D' draws above
 the total anomaly on the way. A surface run sorts D0 + D' before it maps it,
 so each chunk evaluates whole pieces of the cubic, and the distribution sorts
-its excess again only if the map breaks its order.
+its excess again only if the map breaks its order. Both sorts are
+``uq.sort_in_place``, on the pool for a large n.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .uq import (
     UncertainScalar,
     chunk_sampler,
     map_chunks,
+    sort_in_place,
 )
 
 # Stream labels deriving the two independent input streams from one seed.
@@ -233,7 +235,7 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
     if beta is not None:
         return EmpiricalDistribution._from_owned(out), above / n
 
-    out.sort()
+    sort_in_place(out)
     rr0 = float(rr(decomp.natural))
 
     def excess(i: int, chunk: np.ndarray) -> None:

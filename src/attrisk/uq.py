@@ -7,12 +7,18 @@ each chunk's work (draw, then finish in place) on a shared thread pool; the
 result is bit-identical to doing the chunks one after another, and the first n
 draws do not depend on how many more are requested later. A quantity of
 dispersion 0 is a point mass and draws nothing.
+
+An empirical distribution keeps a non-decreasing sample as it is and sorts
+any other with ``sort_in_place``, which partitions a large array at its middle
+and sorts both halves at once on the same pool. Work on the pool's own
+threads, or with a one-worker pool, runs inline on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -23,18 +29,31 @@ from numpy.random import Generator, Philox, SeedSequence
 #: Draws per independently-keyed chunk. Fixed: changing it changes streams.
 CHUNK_SIZE = 1 << 16
 
-#: The process-wide chunk-filling pool, one worker per usable CPU.
+#: The smallest array ``sort_in_place`` splits across the pool. Runs of 1e6
+#: samples stay below it: the pooled sort is timed faster there on 2 cores, but
+#: no paired benchmark run has shown it.
+POOL_SORT_MIN = 1 << 21
+
+#: The process-wide chunk-filling pool, one worker per usable CPU, and that count.
 _pool: ThreadPoolExecutor
+_workers: int
+#: ``worker`` is set on the pool's own threads.
+_in_pool = threading.local()
+
+
+def _mark_worker() -> None:
+    _in_pool.worker = True
 
 
 def _start_pool() -> None:
     # At import, and again in a forked child, which inherits the executor but
     # none of its threads. No thread starts until the first map. CPU affinity
     # is Linux-only; elsewhere the pool takes the CPU count.
-    global _pool
+    global _pool, _workers
     affinity = getattr(os, "sched_getaffinity", None)
-    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
-    _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="attrisk-philox")
+    _workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    _pool = ThreadPoolExecutor(max_workers=_workers, thread_name_prefix="attrisk-philox",
+                               initializer=_mark_worker)
 
 
 _start_pool()
@@ -42,13 +61,19 @@ if hasattr(os, "register_at_fork"):  # Unix only
     os.register_at_fork(after_in_child=_start_pool)
 
 
+def _pooled() -> bool:
+    """Whether work may go to the pool: it has two or more workers and the
+    caller is not one of them, since a nested map on a full pool deadlocks."""
+    return _workers > 1 and not getattr(_in_pool, "worker", False)
+
+
 def map_chunks(work: Callable[[int, np.ndarray], object], out: np.ndarray) -> list:
     """``work(i, chunk)`` for each CHUNK_SIZE view into out, on the pool when
-    there is more than one, under the caller's numpy error state as inline;
-    the results in order (re-raising a worker's error)."""
+    there is more than one and the pool may be used, under the caller's numpy
+    error state as inline; the results in order (re-raising a worker's error)."""
     chunks = [out[lo:lo + CHUNK_SIZE] for lo in range(0, out.size, CHUNK_SIZE)]
-    if len(chunks) == 1:
-        return [work(0, chunks[0])]
+    if len(chunks) == 1 or not _pooled():
+        return [work(i, chunk) for i, chunk in enumerate(chunks)]
     errors = np.geterr()  # a pool thread starts from numpy's default
 
     def pooled(i: int, chunk: np.ndarray):
@@ -119,6 +144,19 @@ def sample(q: UncertainScalar, stream: RandomStream, n: int) -> np.ndarray:
     return out
 
 
+def sort_in_place(a: np.ndarray) -> None:
+    """``a.sort()`` for a 1-d float array, on the pool when it is at least
+    POOL_SORT_MIN long: partition it at its middle, then sort both halves at
+    once. The bytes are np.sort's, except that mixed -0.0 and +0.0 may come in
+    another order, which np.sort leaves unspecified too."""
+    if a.size < POOL_SORT_MIN or not _pooled():
+        a.sort()
+        return
+    m = a.size // 2
+    a.partition(m)
+    list(_pool.map(np.ndarray.sort, (a[:m], a[m:])))
+
+
 def _ascending(a: np.ndarray) -> bool:
     """Whether a is non-decreasing (never, if it holds a NaN)."""
     return bool(np.all(a[:-1] <= a[1:]))
@@ -142,7 +180,7 @@ class EmpiricalDistribution:
             raise ValueError("need at least 2 samples")
         if not all(_ascending(arr[lo:lo + CHUNK_SIZE + 1])
                    for lo in range(0, arr.size - 1, CHUNK_SIZE)):
-            arr.sort()
+            sort_in_place(arr)
         # In order, -inf comes first and +inf and NaN last, so the ends tell.
         if not (np.isfinite(arr[0]) and np.isfinite(arr[-1])):
             raise ValueError("samples must be finite")

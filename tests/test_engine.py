@@ -497,10 +497,25 @@ class TestPropagationKernel:
         monkeypatch.setattr(uq, "_ascending", recorded)
         return checks
 
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        """Per run: the size of each array _from_owned sorts (the surface
+        path's sort of D0 + D' before the map is not counted)."""
+        sizes = []
+
+        def recorded(a):
+            sizes.append(a.size)
+            sort_in_place(a)
+
+        sort_in_place = uq.sort_in_place
+        monkeypatch.setattr(uq, "sort_in_place", recorded)
+        return sizes
+
     @pytest.mark.parametrize("case", [c for c in KERNEL_CASES if c.startswith("linear")])
-    def test_linear_fails_the_first_check_and_sorts(self, case, finalized):
+    def test_linear_fails_the_first_check_and_sorts(self, case, finalized, sorts):
         dist, _ = self.run(case, 5 * CHUNK_SIZE + 17)
         assert finalized == [False]
+        assert sorts == [5 * CHUNK_SIZE + 17]
         assert np.all(dist.samples[:-1] <= dist.samples[1:])
 
     @pytest.mark.parametrize("case, sorted_again", [
@@ -508,13 +523,15 @@ class TestPropagationKernel:
         ("surface-falling", True), ("surface-turning", True),
         # The end cubics turn beyond the knots, so draws past them break the order.
         ("surface-wide", True), ("surface", True)])
-    def test_surface_is_sorted_again_only_out_of_order(self, case, sorted_again, finalized):
+    def test_surface_is_sorted_again_only_out_of_order(self, case, sorted_again, finalized,
+                                                       sorts):
         n = 5 * CHUNK_SIZE + 17
         self.run(case, n)
         if sorted_again:
             assert finalized == [True] * (len(finalized) - 1) + [False]
         else:
             assert finalized == [True] * 6
+        assert sorts == ([n] if sorted_again else [])
 
     def test_order_is_checked_across_chunks(self, finalized):
         # The surface turns down and up again between the last D0 + D' of

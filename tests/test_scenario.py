@@ -358,7 +358,7 @@ class TestMemoryBound:
         # and beyond it only chunk-sized scratch per pool thread.
         n = 2_000_000
         cfg = parse_scenario(minimal(**changes, mc={"samples": n}))
-        workers = uq._pool._max_workers
+        workers = uq._workers
         # Start the pool before measuring.
         run_scenario(parse_scenario(minimal(**changes, mc={"samples": 2 * CHUNK_SIZE})))
         tracemalloc.start()

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.random import Generator, Philox, SeedSequence
 
 from attrisk import uq
@@ -22,6 +24,7 @@ from attrisk.uq import (
     histogram,
     percentile,
     sample,
+    sort_in_place,
     summarize,
     tail_probability,
 )
@@ -195,7 +198,7 @@ class TestChunkParallel:
             "import os, sys\n"
             "del os.sched_getaffinity, os.register_at_fork\n"
             "from attrisk import uq\n"
-            "assert uq._pool._max_workers == (os.cpu_count() or 1)\n"
+            "assert uq._workers == (os.cpu_count() or 1)\n"
             "x = uq.sample(uq.UncertainScalar(0.0, 1.0), uq.RandomStream(7, 2), %d)\n"
             "sys.stdout.buffer.write(x.tobytes())\n" % n)
         assert proc.returncode == 0, proc.stderr
@@ -207,6 +210,128 @@ class TestChunkParallel:
         with multiprocessing.get_context("fork").Pool(1) as pool:
             got = pool.apply_async(_draw_in_child, (n,)).get(timeout=60)
         assert got == serial_chunks(7, 1, n).tobytes()
+
+
+def sorted_in_place(values):
+    a = np.array(values, dtype=float)
+    sort_in_place(a)
+    return a
+
+
+@pytest.fixture
+def pooled_sort(monkeypatch):
+    """sort_in_place takes its pooled path from 2 values up, with two workers
+    counted even where the pool has one thread (its tasks then run in turn)."""
+    monkeypatch.setattr(uq, "POOL_SORT_MIN", 2)
+    monkeypatch.setattr(uq, "_workers", 2)
+
+
+class TestSortInPlace:
+    """The pooled sort gives np.sort's bytes: a sorted float64 array is unique
+    but for the order of mixed -0.0 and +0.0, which no case here holds."""
+
+    # pooled_sort sets the same two values for every example.
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=arrays(np.float64, st.integers(2, 3000),
+                         elements=st.floats(allow_nan=False)),
+           zero=st.sampled_from([0.0, -0.0]))
+    def test_bytes_match_np_sort(self, values, zero, pooled_sort):
+        values = np.where(values == 0, zero, values)  # zeros of one sign
+        assert sorted_in_place(values).tobytes() == np.sort(values).tobytes()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_around_the_crossover(self, monkeypatch, offset):
+        monkeypatch.setattr(uq, "_workers", 2)
+        values = sample(NORMAL, RandomStream(SEED, 6), uq.POOL_SORT_MIN + offset)
+        assert sorted_in_place(values).tobytes() == np.sort(values).tobytes()
+
+    RNG = np.random.default_rng(SEED)
+    N = 3 * CHUNK_SIZE + 7  # odd, and not a whole number of chunks
+    SHAPES = {
+        "normal": RNG.standard_normal(N),
+        "all-equal": np.full(N, 2.5),
+        "ties-at-the-middle": RNG.integers(0, 3, N).astype(float),
+        "sorted": np.arange(N, dtype=float),  # partitioned at the middle already
+        "reversed": np.arange(N, 0, -1, dtype=float),
+        "two-values": np.repeat([1.0, -1.0], [N // 2, N - N // 2]),
+        "infinities": np.where(RNG.random(N) < 0.1, np.inf, RNG.standard_normal(N)) * np.sign(
+            RNG.random(N) - 0.5),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_shapes(self, shape, pooled_sort):
+        values = self.SHAPES[shape]
+        assert sorted_in_place(values).tobytes() == np.sort(values).tobytes()
+
+    @pytest.mark.parametrize("at", [0, N // 2 - 1, N // 2, N - 1])
+    def test_nan_anywhere(self, at, pooled_sort):
+        values = np.random.default_rng(at).standard_normal(self.N)
+        values[at] = np.nan
+        assert sorted_in_place(values).tobytes() == np.sort(values).tobytes()
+        with pytest.raises(ValueError, match="samples must be finite"):
+            EmpiricalDistribution._from_owned(values)
+
+    def test_one_worker_sorts_on_the_calling_thread(self, monkeypatch):
+        class NoPool:
+            def map(self, *args):
+                raise AssertionError("a one-worker pool must not be used")
+
+        monkeypatch.setattr(uq, "POOL_SORT_MIN", 2)
+        monkeypatch.setattr(uq, "_workers", 1)
+        monkeypatch.setattr(uq, "_pool", NoPool())
+        values = self.SHAPES["normal"]
+        assert sorted_in_place(values).tobytes() == np.sort(values).tobytes()
+
+    def test_call_from_pool_work_finishes(self):
+        # Every pool thread sorts inside map_chunks work; were the sort to map
+        # onto the pool, each would wait on the others for ever.
+        proc = _run_child(
+            "import numpy as np\n"
+            "from attrisk import uq\n"
+            "uq.POOL_SORT_MIN, uq._workers = 2, max(uq._workers, 2)\n"
+            "def work(i, chunk):\n"
+            "    values = np.random.default_rng(i).standard_normal(chunk.size)\n"
+            "    chunk[:] = values\n"
+            "    uq.sort_in_place(chunk)\n"
+            "    return chunk.tobytes() == np.sort(values).tobytes()\n"
+            "print(uq.map_chunks(work, np.empty(4 * uq.CHUNK_SIZE)))\n")
+        assert (proc.returncode, proc.stdout) == (0, b"[True, True, True, True]\n"), proc.stderr
+
+    def test_concurrent_callers_share_the_pool(self, pooled_sort):
+        arrays = [np.random.default_rng(k).standard_normal(2 * CHUNK_SIZE + k) for k in range(4)]
+        mismatches = []
+
+        def sorts(values):
+            for _ in range(5):
+                if sorted_in_place(values).tobytes() != np.sort(values).tobytes():
+                    mismatches.append(values.size)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sorts, args=(a,)) for a in arrays]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    def test_makes_no_n_sized_temporary(self, pooled_sort):
+        values = sample(NORMAL, RandomStream(SEED, 7), 2_000_000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sort_in_place(values)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.all(values[:-1] <= values[1:])
+        # The partition and both sorts work in place: under one float chunk.
+        # A mask over a whole half alone would be n/2 = 1e6 bytes.
+        assert peak < 8 * CHUNK_SIZE
 
 
 class TestEmpiricalDistribution:
