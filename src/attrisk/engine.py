@@ -10,10 +10,11 @@ point estimates and ``propagate`` the distribution. Excess risk is carried in
 percent; the relative-risk multiplier is dimensionless. An input of dispersion
 0 is a point mass. ``propagate`` turns each Philox chunk of one n-array into
 its excess risk in place, on the ``uq`` pool, and counts the D' draws above
-the total anomaly on the way. A surface run sorts D0 + D' before it maps it,
-so each chunk evaluates whole pieces of the cubic, and the distribution sorts
-its excess again only if the map breaks its order. Both sorts are
-``uq.sort_in_place``, on the pool for a large n.
+the total anomaly on the way. A linear run of one chunk draws its beta on the
+pool while its D' is drawn and counted (``uq.at_once``). A surface run sorts
+D0 + D' before it maps it, so each chunk evaluates whole pieces of the cubic,
+and the distribution sorts its excess again only if the map breaks its order.
+Both sorts are ``uq.sort_in_place``, on the pool for a large n.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .uq import (
     EmpiricalDistribution,
     RandomStream,
     UncertainScalar,
+    at_once,
     chunk_sampler,
     map_chunks,
     sort_in_place,
@@ -209,7 +211,9 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
     """The anthropogenic excess risk, beta_i * D'_i or 100 * (rr(D0 + D'_i) - rr(D0))
     from n draws of D' (DPRIME_STREAM) and beta (BETA_STREAM), and the fraction
     of D' draws above the total anomaly. Each chunk of one n-array is drawn,
-    counted and turned into its product or D0 + D' in place on the pool.
+    counted and turned into its product or D0 + D' in place on the pool; a
+    linear chunk draws beta and D' through ``at_once``, side by side when the
+    chunk is the run's only one, so not already on a pool thread.
     D0 + D' is sorted before the map, so each chunk maps whole pieces of rr.
     The distribution sorts what is still out of order: any product array, and
     an excess that a falling or turning surface, draws past the knots, or
@@ -220,13 +224,16 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
         draw_beta = chunk_sampler(beta, RandomStream(seed, BETA_STREAM), n)
 
     def draw(i: int, chunk: np.ndarray) -> int:
-        draw_dprime(i, chunk)
-        above = np.count_nonzero(chunk > decomp.total)
+        def dprime() -> int:
+            draw_dprime(i, chunk)
+            return np.count_nonzero(chunk > decomp.total)
+
         if beta is None:
+            above = dprime()
             chunk += decomp.natural
         else:
             betas = np.empty(chunk.size)
-            draw_beta(i, betas)
+            above, _ = at_once(dprime, lambda: draw_beta(i, betas))
             chunk *= betas
         return above
 

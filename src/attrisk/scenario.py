@@ -432,6 +432,35 @@ def _bundle_dict(r: ReportBundle) -> dict:
     }
 
 
+def _json_rows(rows: list[list]) -> str:
+    """A list of number lists as json.dumps(indent=2) writes it as a top-level
+    value, one join per row: json's text of a finite float or an int is its repr."""
+    if not rows:
+        return "[]"
+    return ("[\n    [\n      "
+            + "\n    ],\n    [\n      ".join(",\n      ".join(map(repr, row)) for row in rows)
+            + "\n    ]\n  ]")
+
+
+def _emit_json(r: ReportBundle) -> str:
+    """``json.dumps(_bundle_dict(r), indent=2) + "\n"``, its quantile and
+    histogram tables written a row at a time."""
+    d = _bundle_dict(r)
+    tables = {key: _json_rows(d[key]) for key in ("quantiles", "histogram")}
+    # Anything else goes through json itself: repr writes inf and nan where json
+    # writes Infinity and NaN (no finite number's repr holds an n), True for
+    # true, and np.int64(1) for what json refuses.
+    if (any("n" in text for text in tables.values())
+            or any(type(count) is not int for *_, count in d["histogram"])):
+        return json.dumps(d, indent=2) + "\n"
+    provenance = json.dumps(d.pop("provenance"), indent=2).replace("\n", "\n  ")
+    for key in tables:
+        del d[key]
+    return (json.dumps(d, indent=2)[:-2]
+            + "".join(f',\n  "{key}": {text}' for key, text in tables.items())
+            + f',\n  "provenance": {provenance}\n}}\n')
+
+
 def _emit_human(r: ReportBundle) -> str:
     s = r.distribution_summary
     a = r.attribution
@@ -483,7 +512,7 @@ def emit_report(r: ReportBundle, format: str = "human") -> bytes:
     elif format == "csv":
         text = _emit_csv(r)
     elif format == "json":
-        text = json.dumps(_bundle_dict(r), indent=2) + "\n"
+        text = _emit_json(r)
     else:
         raise ValueError(f"unknown report format: {format!r} (expected one of {FORMATS})")
     return text.encode("utf-8")

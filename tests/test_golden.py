@@ -94,6 +94,23 @@ def test_point_mass_report_bytes(name, override, digest, tmp_path):
     assert report_sha256(path, tmp_path, "json", "--set", override) == digest
 
 
+#: n = 20000 draws, one Philox chunk: a run of one chunk draws its two streams
+#: side by side (uq.at_once), where the cases above draw many chunks.
+ONE_CHUNK_CASES = [
+    ("syria_2010", (), "23ff30e8beb8637a59e94d0b1c4ef3a1b818f4714e56acef61730484913a14fb"),
+    ("golden_surface", (), "dc71001ec60ce9023b9e05e8da60bf8da4a6cbbfb306a0542a59e4b9cf2d55b8"),
+    ("syria_2010", ("--set", "dose_response.dispersion=0"),
+     "9f4775153a200dfe511c9062e93a19f5931a4709a45c998f78d51e018f21b8fe"),
+]
+
+
+@pytest.mark.parametrize("name, extra, digest", ONE_CHUNK_CASES,
+                         ids=["-".join((name, *extra[1:])) for name, extra, _ in ONE_CHUNK_CASES])
+def test_one_chunk_report_bytes(name, extra, digest, tmp_path):
+    path = scenario_path(name, tmp_path)
+    assert report_sha256(path, tmp_path, "json", "--samples", "20000", *extra) == digest
+
+
 PROPAGATE_CASES = [
     ("points", "--beta 3.54 --dprime 1.08",
      "b1e4875a64cfd836a274eb807e0deb5afcbfe5dba542049ab07cdbddc8621e17"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 import attrisk
 from attrisk import cli, engine, scenario, uq
@@ -15,6 +17,7 @@ from attrisk.scenario import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     ParseError,
+    ReportBundle,
     ScenarioError,
     ScenarioRuntimeError,
     UnknownKeyError,
@@ -23,7 +26,8 @@ from attrisk.scenario import (
     parse_scenario,
     run_scenario,
 )
-from attrisk.uq import CHUNK_SIZE, RandomStream, UncertainScalar
+from attrisk.engine import RiskAttribution
+from attrisk.uq import CHUNK_SIZE, BoxWhiskerSummary, RandomStream, UncertainScalar
 
 SCENARIOS = Path(attrisk.__file__).parent / "scenarios"
 SYRIA = SCENARIOS / "syria_2010.yaml"
@@ -543,3 +547,88 @@ class TestEmission:
     def test_unknown_format_rejected(self, small_bundle):
         with pytest.raises(ValueError):
             emit_report(small_bundle, "xml")
+
+
+def json_reference(r):
+    """The JSON report by definition, or the error json raises."""
+    try:
+        return (json.dumps(scenario._bundle_dict(r), indent=2) + "\n").encode()
+    except TypeError as exc:
+        return type(exc)
+
+
+def emitted_json(r):
+    try:
+        return emit_report(r, "json")
+    except TypeError as exc:
+        return type(exc)
+
+
+# The smallest subnormal, a negative zero, the largest float, and the points
+# where repr turns to exponent form: 1e16 and below 1e-4.
+EDGE_FLOATS = [5e-324, -0.0, 1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-5, 1e-4]
+numbers = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+counts = st.one_of(st.sampled_from([0, 2 ** 53 + 1, 2 ** 64 + 7]), st.integers(0, 2 ** 70))
+# Quotes, backslashes, control characters, U+2028/9, non-ASCII and astral text.
+names = st.text(st.one_of(st.sampled_from('"\\\x00\x07\n\x1f\x7f\u2028\u2029\u00e9\U0001f30d'),
+                          st.characters()), max_size=12)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | names,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(names, inner, max_size=3),
+    max_leaves=10)
+
+
+@st.composite
+def bundles(draw, number=numbers, count=counts):
+    """A report bundle with any names, any provenance, and tables of up to 1000
+    rows built from a few drawn numbers (drawing 1000 rows each is slow)."""
+    values = draw(st.lists(number, min_size=1, max_size=8))
+    p005, p05, q25, median, q75, p95, p995 = sorted(draw(st.lists(numbers, min_size=7,
+                                                                  max_size=7)))
+    rows = draw(st.one_of(st.sampled_from([0, 1, 1000]), st.integers(0, 1000)))
+    row_counts = draw(st.lists(count, min_size=1, max_size=4))
+    histogram = tuple((values[i % len(values)], values[(i + 1) % len(values)],
+                       row_counts[i % len(row_counts)]) for i in range(rows))
+    quantiles = tuple(draw(st.lists(st.tuples(numbers, number), max_size=9)))
+    return ReportBundle(
+        scenario=draw(names), year=draw(st.integers(-10 ** 20, 10 ** 20)),
+        attribution=RiskAttribution(*draw(st.tuples(numbers, numbers, numbers))),
+        distribution_summary=BoxWhiskerSummary(median, q25, q75, p05, p95, p005, p995,
+                                               mean=draw(numbers)),
+        p_value=draw(numbers), quantiles=quantiles, histogram=histogram,
+        provenance=draw(st.dictionaries(names, json_values, max_size=6)))
+
+
+ONE_ROW = ReportBundle(
+    scenario='a "b" \\ \u2028 \x01 \u00e9', year=2010,
+    attribution=RiskAttribution(1e-5, -0.0, 1e16),
+    distribution_summary=BoxWhiskerSummary(*[5e-324] * 7, mean=1.7976931348623157e308),
+    p_value=0.0, quantiles=((0.5, 5e-324),), histogram=((-0.0, 1e16, 2 ** 53 + 1),),
+    provenance={"seed": 1, "nested": {"list": [1, [2.5, {}], []], "dict": {"k": None}},
+                "fraction": 0.1 + 0.2})
+
+
+class TestJsonWriter:
+    """emit_report's JSON is json.dumps(indent=2) of the bundle dict, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bundles())
+    @example(ONE_ROW)
+    def test_bytes_match_json_dumps(self, r):
+        assert emit_report(r, "json") == json_reference(r)
+
+    # Outside what run_scenario makes: non-finite numbers (json writes NaN and
+    # Infinity), and counts that are no int (json writes true, or refuses).
+    @settings(max_examples=50, deadline=None)
+    @given(bundles(number=st.one_of(numbers, st.sampled_from([math.inf, -math.inf, math.nan])),
+                   count=st.one_of(counts, st.sampled_from([True, False, 2.0, np.int64(3)]))))
+    @example(dataclasses.replace(ONE_ROW, histogram=((1.0, 2.0, True),)))
+    @example(dataclasses.replace(ONE_ROW, histogram=((1.0, 2.0, np.int64(3)),)))
+    @example(dataclasses.replace(ONE_ROW, histogram=((-math.inf, 2.0, 1),)))
+    @example(dataclasses.replace(ONE_ROW, quantiles=((0.5, math.nan),)))
+    def test_other_tables_go_through_json(self, r):
+        assert emitted_json(r) == json_reference(r)
+
+    def test_run_report_is_canonical(self, small_bundle):
+        text = emit_report(small_bundle, "json").decode()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -219,11 +220,16 @@ def sorted_in_place(values):
 
 
 @pytest.fixture
-def pooled_sort(monkeypatch):
-    """sort_in_place takes its pooled path from 2 values up, with two workers
-    counted even where the pool has one thread (its tasks then run in turn)."""
-    monkeypatch.setattr(uq, "POOL_SORT_MIN", 2)
+def two_workers(monkeypatch):
+    """Pooled paths open with two workers counted, even where the pool has
+    one thread (its tasks then run in turn)."""
     monkeypatch.setattr(uq, "_workers", 2)
+
+
+@pytest.fixture
+def pooled_sort(monkeypatch, two_workers):
+    """sort_in_place takes its pooled path from 2 values up."""
+    monkeypatch.setattr(uq, "POOL_SORT_MIN", 2)
 
 
 class TestSortInPlace:
@@ -240,8 +246,7 @@ class TestSortInPlace:
         assert sorted_in_place(values).tobytes() == np.sort(values).tobytes()
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_around_the_crossover(self, monkeypatch, offset):
-        monkeypatch.setattr(uq, "_workers", 2)
+    def test_around_the_crossover(self, two_workers, offset):
         values = sample(NORMAL, RandomStream(SEED, 6), uq.POOL_SORT_MIN + offset)
         assert sorted_in_place(values).tobytes() == np.sort(values).tobytes()
 
@@ -332,6 +337,80 @@ class TestSortInPlace:
         # The partition and both sorts work in place: under one float chunk.
         # A mask over a whole half alone would be n/2 = 1e6 bytes.
         assert peak < 8 * CHUNK_SIZE
+
+
+class TestAtOnce:
+    def test_there_runs_on_the_pool_beside_here(self, two_workers):
+        threads = {}
+
+        def work(name, result):
+            threads[name] = threading.get_ident()
+            return result
+
+        assert uq.at_once(lambda: work("here", 1), lambda: work("there", 2)) == (1, 2)
+        assert threads["here"] == threading.get_ident() != threads["there"]
+
+    def test_there_raising_is_raised_after_here_finishes(self, two_workers):
+        raised, finished = threading.Event(), []
+
+        def there():
+            raised.set()
+            raise KeyError("there")
+
+        def here():
+            assert raised.wait(30)
+            finished.append("here")
+
+        with pytest.raises(KeyError, match="there"):
+            uq.at_once(here, there)
+        assert finished == ["here"]
+
+    def test_here_raising_waits_for_there(self, two_workers):
+        raising, finished = threading.Event(), []
+
+        def there():
+            assert raising.wait(30)
+            time.sleep(0.05)
+            finished.append("there")
+
+        def here():
+            raising.set()
+            raise KeyError("here")
+
+        with pytest.raises(KeyError, match="here"):
+            uq.at_once(here, there)
+        assert finished == ["there"]
+
+    def test_there_runs_under_the_callers_error_state(self, two_workers):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            uq.at_once(lambda: None, lambda: np.full(2, 1e308) * 10.0)
+
+    def test_one_worker_runs_inline_there_first(self, monkeypatch):
+        class NoPool:
+            def submit(self, *args):
+                raise AssertionError("a one-worker pool must not be used")
+
+        monkeypatch.setattr(uq, "_workers", 1)
+        monkeypatch.setattr(uq, "_pool", NoPool())
+        order = []
+        assert uq.at_once(lambda: order.append("here") or 1,
+                          lambda: order.append("there") or 2) == (1, 2)
+        assert order == ["there", "here"]
+
+    def test_pool_thread_caller_runs_inline_there_first(self, two_workers):
+        order = []
+
+        def work(name, result):
+            order.append((name, threading.get_ident()))
+            return result
+
+        def on_pool():
+            return uq.at_once(lambda: work("here", 1), lambda: work("there", 2)), \
+                threading.get_ident()
+
+        result, worker = uq._pool.submit(on_pool).result(timeout=60)
+        assert result == (1, 2)
+        assert order == [("there", worker), ("here", worker)]
 
 
 class TestEmpiricalDistribution:
