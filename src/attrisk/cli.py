@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from importlib import resources
 
 import yaml
 
@@ -208,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--set", action="append", metavar="KEY=VALUE", default=[])
     p_self.add_argument("--seed")
     p_self.add_argument("--samples")
-    p_self.set_defaults(func=cmd_selftest,
-                        scenario=str(resources.files("attrisk") / "scenarios/syria_2010.yaml"))
+    # Beside this module; os.path, unlike importlib.resources, costs no import.
+    p_self.set_defaults(func=cmd_selftest, scenario=os.path.join(
+        os.path.dirname(__file__), "scenarios", "syria_2010.yaml"))
 
     return parser
 

@@ -4,7 +4,9 @@ Scenarios are YAML files (nested key-value, comments allowed). Validation is
 strict: unknown keys are rejected so typos cannot silently fall back to
 defaults. Reports carry provenance (seed, sample count, a SHA-256 digest of
 the canonicalized config, tool version): a report names the config that
-produced it by its digest, but does not hold the config itself.
+produced it by its digest, but does not hold the config itself. A JSON report
+is ``json.dumps(report, indent=2)`` plus a newline, its floats rounded to 12
+significant digits, written in one pass with each number formatted once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import math
 import os
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -409,56 +411,51 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
         raise ScenarioRuntimeError(f"scenario '{cfg.name}': {exc}") from exc
 
 
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
+# json's text for the floats whose repr is no JSON number.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _bundle_dict(r: ReportBundle) -> dict:
-    s = r.distribution_summary
-    return {
-        "scenario": r.scenario,
-        "year": r.year,
-        "attribution": {
-            "natural_excess_percent": _sig12(r.attribution.natural_excess),
-            "anthropogenic_excess_percent": _sig12(r.attribution.anthropogenic_excess),
-            "total_relative_risk": _sig12(r.attribution.total_relative_risk),
-        },
-        "distribution_summary": {name: _sig12(v) for name, v in asdict(s).items()},
-        "p_value": _sig12(r.p_value),
-        "quantiles": [[_sig12(q), _sig12(v)] for q, v in r.quantiles],
-        "histogram": [[_sig12(lo), _sig12(hi), count] for lo, hi, count in r.histogram],
-        "provenance": {key: _sig12(v) if isinstance(v, float) else v
-                       for key, v in r.provenance.items()},
-    }
+def _json_float(x) -> str:
+    """x rounded to 12 significant digits, as json writes the float."""
+    text = repr(float(f"{x:.12g}"))
+    return _NON_FINITE.get(text, text)
 
 
-def _json_rows(rows: list[list]) -> str:
-    """A list of number lists as json.dumps(indent=2) writes it as a top-level
-    value, one join per row: json's text of a finite float or an int is its repr."""
+def _json_object(numbers: dict) -> str:
+    """Numbers under plain names, as json.dumps(indent=2) writes the dict one level in."""
+    pairs = ",\n    ".join(f'"{name}": {_json_float(v)}' for name, v in numbers.items())
+    return "{\n    " + pairs + "\n  }"
+
+
+def _json_rows(rows: list[str]) -> str:
+    """A list of lists, each row the joined text of its items, one level in."""
     if not rows:
         return "[]"
-    return ("[\n    [\n      "
-            + "\n    ],\n    [\n      ".join(",\n      ".join(map(repr, row)) for row in rows)
-            + "\n    ]\n  ]")
+    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
 
 
 def _emit_json(r: ReportBundle) -> str:
-    """``json.dumps(_bundle_dict(r), indent=2) + "\n"``, its quantile and
-    histogram tables written a row at a time."""
-    d = _bundle_dict(r)
-    tables = {key: _json_rows(d[key]) for key in ("quantiles", "histogram")}
-    # Anything else goes through json itself: repr writes inf and nan where json
-    # writes Infinity and NaN (no finite number's repr holds an n), True for
-    # true, and np.int64(1) for what json refuses.
-    if (any("n" in text for text in tables.values())
-            or any(type(count) is not int for *_, count in d["histogram"])):
-        return json.dumps(d, indent=2) + "\n"
-    provenance = json.dumps(d.pop("provenance"), indent=2).replace("\n", "\n  ")
-    for key in tables:
-        del d[key]
-    return (json.dumps(d, indent=2)[:-2]
-            + "".join(f',\n  "{key}": {text}' for key, text in tables.items())
-            + f',\n  "provenance": {provenance}\n}}\n')
+    """The JSON report (see the module docstring) of r, in one pass over r."""
+    a = r.attribution
+    attribution = {"natural_excess_percent": a.natural_excess,
+                   "anthropogenic_excess_percent": a.anthropogenic_excess,
+                   "total_relative_risk": a.total_relative_risk}
+    quantiles = [f"{_json_float(q)},\n      {_json_float(v)}" for q, v in r.quantiles]
+    histogram, hi, hi_text = [], object(), ""
+    for lo, upper, count in r.histogram:
+        # Reuse the previous upper edge's text only for the same object: equal
+        # values can differ in text, as -0.0 and 0.0 do.
+        lo_text = hi_text if lo is hi else _json_float(lo)
+        hi, hi_text = upper, _json_float(upper)
+        histogram.append(f"{lo_text},\n      {hi_text},\n      "
+                         + (repr(count) if type(count) is int else json.dumps(count)))
+    provenance = json.dumps({key: float(f"{v:.12g}") if isinstance(v, float) else v
+                             for key, v in r.provenance.items()}, indent=2).replace("\n", "\n  ")
+    return (f'{{\n  "scenario": {json.dumps(r.scenario)},\n  "year": {json.dumps(r.year)},\n'
+            f'  "attribution": {_json_object(attribution)},\n'
+            f'  "distribution_summary": {_json_object(vars(r.distribution_summary))},\n'
+            f'  "p_value": {_json_float(r.p_value)},\n  "quantiles": {_json_rows(quantiles)},\n'
+            f'  "histogram": {_json_rows(histogram)},\n  "provenance": {provenance}\n}}\n')
 
 
 def _emit_human(r: ReportBundle) -> str:
@@ -495,7 +492,7 @@ def _emit_csv(r: ReportBundle) -> str:
                         ("anthropogenic_excess_percent", r.attribution.anthropogenic_excess),
                         ("total_relative_risk", r.attribution.total_relative_risk)]:
         rows.append(("point", name, "", "", _g6(value)))
-    for name, value in asdict(s).items():
+    for name, value in vars(s).items():
         rows.append(("summary", name, "", "", _g6(value)))
     rows.append(("test", "p_value", "", "", _g6(r.p_value)))
     for q, v in r.quantiles:
