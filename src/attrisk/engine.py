@@ -9,12 +9,12 @@ distribution of the anthropogenic excess risk. Each question is one call on
 point estimates and ``propagate`` the distribution. Excess risk is carried in
 percent; the relative-risk multiplier is dimensionless. An input of dispersion
 0 is a point mass. ``propagate`` turns each Philox chunk of one n-array into
-its excess risk in place, on the ``uq`` pool, and counts the D' draws above
-the total anomaly on the way. A linear run of one chunk draws its beta on the
-pool while its D' is drawn and counted (``uq.at_once``). A surface run sorts
-D0 + D' before it maps it, so each chunk evaluates whole pieces of the cubic,
-and the distribution sorts its excess again only if the map breaks its order.
-Both sorts are ``uq.sort_in_place``, on the pool for a large n.
+its excess risk in place as one ``uq.at_once`` task (the caller and one pool
+thread per further CPU take the tasks in turn), counting the D' draws above the
+total anomaly on the way; a run of one chunk draws its beta and D' as two tasks.
+A surface run sorts D0 + D' before it maps it, so each chunk evaluates whole
+pieces of the cubic, and the distribution sorts its excess again only if the
+map breaks its order. Both sorts are ``uq.sort_in_place``, two tasks at large n.
 """
 
 from __future__ import annotations
@@ -200,8 +200,10 @@ def integral_attribution(response: DoseResponse, decomp: AnomalyDecomposition) -
         raise DomainCoverageError(
             f"anomaly {d_total} exceeds the last surface knot at D={last}")
 
-    rr_0, rr_d0, rr_total = response.rr(np.array([0.0, d0, d_total])).tolist()
-    natural = 100.0 * (rr_d0 - rr_0)
+    # rr(0) is 1.0 exactly: the first piece at s = 0 is its constant term, the
+    # knot (0, 1), and DoseResponse refuses non-finite coefficients.
+    rr_d0, rr_total = response.rr(np.array([d0, d_total])).tolist()
+    natural = 100.0 * (rr_d0 - 1.0)
     anthropogenic = 100.0 * (rr_total - rr_d0)
     return RiskAttribution(natural, anthropogenic, 1.0 + (natural + anthropogenic) / 100.0)
 
@@ -211,9 +213,8 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
     """The anthropogenic excess risk, beta_i * D'_i or 100 * (rr(D0 + D'_i) - rr(D0))
     from n draws of D' (DPRIME_STREAM) and beta (BETA_STREAM), and the fraction
     of D' draws above the total anomaly. Each chunk of one n-array is drawn,
-    counted and turned into its product or D0 + D' in place on the pool; a
-    linear chunk draws beta and D' through ``at_once``, side by side when the
-    chunk is the run's only one, so not already on a pool thread.
+    counted and turned into its product or D0 + D' in place as one task, a
+    linear one's beta, then D', as two (side by side only in a run of one chunk).
     D0 + D' is sorted before the map, so each chunk maps whole pieces of rr.
     The distribution sorts what is still out of order: any product array, and
     an excess that a falling or turning surface, draws past the knots, or
@@ -233,7 +234,7 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
             chunk += decomp.natural
         else:
             betas = np.empty(chunk.size)
-            above, _ = at_once(dprime, lambda: draw_beta(i, betas))
+            _, above = at_once(lambda: draw_beta(i, betas), dprime)
             chunk *= betas
         return above
 

@@ -2,18 +2,16 @@
 
 Sampling is built on the Philox counter-based bit generator so that the i-th
 draw of a stream is a pure function of (seed, stream label, i): draws are
-produced in fixed-size chunks, each keyed independently. ``map_chunks`` runs
-each chunk's work (draw, then finish in place) on a shared thread pool; the
-result is bit-identical to doing the chunks one after another, and the first n
-draws do not depend on how many more are requested later. ``at_once`` runs
-two pieces of work side by side, one of them on the pool, so a run of one
-chunk can still draw its two streams at once. A quantity of dispersion 0 is a
-point mass and draws nothing.
+produced in fixed-size chunks, each keyed independently. Every parallel job
+goes through ``at_once(*tasks)``: the caller and one pool thread per further
+CPU take the tasks in turn. ``map_chunks`` runs each chunk's work (draw, then
+finish in place) as one task; the result is bit-identical to doing the chunks
+one after another, and the first n draws do not depend on how many more are
+requested later. A quantity of dispersion 0 is a point mass and draws nothing.
 
 An empirical distribution keeps a non-decreasing sample as it is and sorts
 any other with ``sort_in_place``, which partitions a large array at its middle
-and sorts both halves at once on the same pool. Work on the pool's own
-threads, or with a one-worker pool, runs inline on the calling thread.
+and sorts both halves as two tasks.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -36,26 +35,22 @@ CHUNK_SIZE = 1 << 16
 #: values), so runs of 1e6 samples sort on the pool.
 POOL_SORT_MIN = 1 << 19
 
-#: The process-wide chunk-filling pool, one worker per usable CPU, and that count.
+#: The process-wide pool, a thread per usable CPU but the caller's, and the CPU count.
 _pool: ThreadPoolExecutor
 _workers: int
-#: ``worker`` is set on the pool's own threads.
-_in_pool = threading.local()
-
-
-def _mark_worker() -> None:
-    _in_pool.worker = True
+#: ``active`` is set on a thread while it runs ``at_once`` tasks.
+_in_task = threading.local()
 
 
 def _start_pool() -> None:
     # At import, and again in a forked child, which inherits the executor but
-    # none of its threads. No thread starts until the first map. CPU affinity
-    # is Linux-only; elsewhere the pool takes the CPU count.
+    # none of its threads. No thread starts until the first task. CPU affinity
+    # is Linux-only; elsewhere the workers are the CPU count.
     global _pool, _workers
     affinity = getattr(os, "sched_getaffinity", None)
     _workers = len(affinity(0)) if affinity else os.cpu_count() or 1
-    _pool = ThreadPoolExecutor(max_workers=_workers, thread_name_prefix="attrisk-philox",
-                               initializer=_mark_worker)
+    _pool = ThreadPoolExecutor(max_workers=max(_workers - 1, 1),
+                               thread_name_prefix="attrisk-philox")
 
 
 _start_pool()
@@ -63,48 +58,51 @@ if hasattr(os, "register_at_fork"):  # Unix only
     os.register_at_fork(after_in_child=_start_pool)
 
 
-def _pooled() -> bool:
-    """Whether work may go to the pool: it has two or more workers and the
-    caller is not one of them, since a nested map on a full pool deadlocks."""
-    return _workers > 1 and not getattr(_in_pool, "worker", False)
+def at_once(*tasks: Callable[[], object]) -> list:
+    """``[task() for task in tasks]``: the caller and up to _workers - 1 pool
+    threads take the next unstarted task in turn, under the caller's numpy error
+    state; one task, one worker or a call from a task (every worker is busy)
+    runs inline, in order. It returns or raises once every started task is done,
+    so none still writes into the caller's arrays; after a failure no task
+    starts, and the lowest-indexed task's error is raised."""
+    if len(tasks) < 2 or _workers < 2 or getattr(_in_task, "active", False):
+        return [task() for task in tasks]
+    errors, lock = np.geterr(), threading.Lock()
+    unstarted = iter(range(len(tasks)))
+    results, failed = [None] * len(tasks), {}
 
+    def take_turns() -> None:
+        _in_task.active = True
+        try:
+            while True:
+                with lock:
+                    i = None if failed else next(unstarted, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = tasks[i]()
+                except BaseException as exc:
+                    failed[i] = exc
+        finally:
+            _in_task.active = False
 
-def _in_callers_errstate(work: Callable) -> Callable:
-    """work, to be called on a pool thread under the calling thread's numpy
-    error state: a pool thread starts from numpy's default."""
-    errors = np.geterr()
+    def on_pool() -> None:
+        with np.errstate(**errors):  # the caller's, which the caller holds already
+            take_turns()
 
-    def pooled(*args):
-        with np.errstate(**errors):
-            return work(*args)
-
-    return pooled
+    helpers = [_pool.submit(on_pool) for _ in range(min(_workers, len(tasks)) - 1)]
+    take_turns()
+    # A helper still queued behind other callers' work has nothing left to take.
+    wait([helper for helper in helpers if not helper.cancel()])
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def map_chunks(work: Callable[[int, np.ndarray], object], out: np.ndarray) -> list:
-    """``work(i, chunk)`` for each CHUNK_SIZE view into out, on the pool when
-    there is more than one and the pool may be used, under the caller's numpy
-    error state as inline; the results in order (re-raising a worker's error)."""
-    chunks = [out[lo:lo + CHUNK_SIZE] for lo in range(0, out.size, CHUNK_SIZE)]
-    if len(chunks) == 1 or not _pooled():
-        return [work(i, chunk) for i, chunk in enumerate(chunks)]
-    return list(_pool.map(_in_callers_errstate(work), range(len(chunks)), chunks))
-
-
-def at_once(here: Callable[[], object], there: Callable[[], object]) -> tuple:
-    """``(here(), there())``, with there() on the pool, under the caller's numpy
-    error state, while here() runs on the calling thread; both inline, there()
-    first, where the pool may not be used. It waits for there() before it
-    returns or raises, so neither is left writing into the caller's arrays."""
-    if not _pooled():
-        done = there()
-        return here(), done
-    future = _pool.submit(_in_callers_errstate(there))
-    try:
-        result = here()
-    finally:
-        wait((future,))
-    return result, future.result()
+    """``work(i, chunk)`` for each CHUNK_SIZE view into out, as ``at_once`` tasks."""
+    return at_once(*(partial(work, i, out[lo:lo + CHUNK_SIZE])
+                     for i, lo in enumerate(range(0, out.size, CHUNK_SIZE))))
 
 
 @dataclass(frozen=True)
@@ -169,16 +167,16 @@ def sample(q: UncertainScalar, stream: RandomStream, n: int) -> np.ndarray:
 
 
 def sort_in_place(a: np.ndarray) -> None:
-    """``a.sort()`` for a 1-d float array, on the pool when it is at least
-    POOL_SORT_MIN long: partition it at its middle, then sort both halves at
-    once. The bytes are np.sort's, except that mixed -0.0 and +0.0 may come in
-    another order, which np.sort leaves unspecified too."""
-    if a.size < POOL_SORT_MIN or not _pooled():
+    """``a.sort()`` for a 1-d float array; from POOL_SORT_MIN values up, with two
+    or more workers, partitioned at its middle and both halves sorted at once.
+    The bytes are np.sort's, but mixed -0.0 and +0.0 may come in another order,
+    which np.sort leaves unspecified too."""
+    if a.size < POOL_SORT_MIN or _workers < 2:
         a.sort()
         return
     m = a.size // 2
     a.partition(m)
-    list(_pool.map(np.ndarray.sort, (a[:m], a[m:])))
+    at_once(a[:m].sort, a[m:].sort)
 
 
 def _ascending(a: np.ndarray) -> bool:

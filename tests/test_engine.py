@@ -303,6 +303,8 @@ class TestPchip:
             theirs = scipy_interpolate.PchipInterpolator(x, y)
         assert ours(v).tobytes() == theirs(v).tobytes()
         assert [float(ours(p)) for p in v] == [float(theirs(p)) for p in v]
+        # At the first knot, exactly its relative risk: integral_attribution takes rr(0) as 1.
+        assert float(ours(0.0)) == 1.0
         # map_sorted in place on any run of sorted values, down to one value or none.
         v.sort()
         for lo, hi in [(0, None), (1, -1), (2, 3), (0, 0)]:
@@ -561,34 +563,40 @@ class TestPropagationKernel:
 
     @pytest.mark.parametrize("n", [2, 17, CHUNK_SIZE, CHUNK_SIZE + 1])
     def test_where_each_stream_is_drawn(self, n, monkeypatch):
-        """One chunk: beta on the pool while D' is drawn on the calling thread.
-        More: each chunk's work, both draws in turn, on one pool thread."""
+        """One chunk: beta and D' on two threads at once, one of them the caller
+        (each draw waits for the other to start). More: each chunk's two draws,
+        beta first, on one thread."""
         monkeypatch.setattr(uq, "_workers", 2)  # as on 2 CPUs, also where there is 1
-        threads = []
+        threads, started = [], {BETA_STREAM: threading.Event(), DPRIME_STREAM: threading.Event()}
 
         def recording(q, stream, n):
             draw = chunk_sampler(q, stream, n)
 
             def recorded(i, chunk):
                 threads.append((i, stream.label, threading.get_ident()))
+                if n <= CHUNK_SIZE:
+                    started[stream.label].set()
+                    other = BETA_STREAM + DPRIME_STREAM - stream.label
+                    assert started[other].wait(30), "the other stream was not drawn at once"
                 draw(i, chunk)
 
             return recorded
 
         monkeypatch.setattr(engine, "chunk_sampler", recording)
         self.run("linear", n)
-        here = threading.get_ident()
         if n <= CHUNK_SIZE:
             by_label = {label: thread for _, label, thread in threads}
             assert len(threads) == len(by_label) == 2
-            assert by_label[DPRIME_STREAM] == here != by_label[BETA_STREAM]
+            assert by_label[BETA_STREAM] != by_label[DPRIME_STREAM]
+            assert threading.get_ident() in by_label.values()
         else:
             by_chunk = {}
             for i, label, thread in threads:
                 by_chunk.setdefault(i, []).append((label, thread))
+            assert sorted(by_chunk) == list(range(-(-n // CHUNK_SIZE)))
             for (beta, one), (dprime, other) in by_chunk.values():
                 assert (beta, dprime) == (BETA_STREAM, DPRIME_STREAM)
-                assert one == other != here
+                assert one == other
         # The bytes at each of these sizes: test_pool_matches_serial_reference.
 
     @pytest.mark.parametrize("case", KERNEL_CASES)

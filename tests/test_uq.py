@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,11 @@ def _run_child(code):
                           capture_output=True, timeout=120)
 
 
+class NoPool:
+    def submit(self, *args):
+        raise AssertionError("this call must not use the pool")
+
+
 def _draw_in_child(n):
     return sample(NORMAL, RandomStream(7, 1), n).tobytes()
 
@@ -170,10 +176,6 @@ class TestChunkParallel:
         assert mismatches == []
 
     def test_single_chunk_stays_on_calling_thread(self, monkeypatch):
-        class NoPool:
-            def map(self, *args):
-                raise AssertionError("a single chunk must not use the pool")
-
         monkeypatch.setattr(uq, "_pool", NoPool())
         assert np.array_equal(sample(NORMAL, RandomStream(SEED, 1), CHUNK_SIZE),
                               serial_chunks(SEED, 1, CHUNK_SIZE))
@@ -186,6 +188,22 @@ class TestChunkParallel:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             uq.map_chunks(overflow, np.full(n, 1e308))
 
+    def test_raises_only_once_every_started_chunk_has_written(self, two_workers):
+        started = threading.Event()
+
+        def work(i, chunk):
+            if i == 0:
+                assert started.wait(30)
+                raise KeyError("chunk 0")
+            started.set()
+            time.sleep(0.05)
+            chunk[:] = 1.0
+
+        out = np.zeros(2 * CHUNK_SIZE)
+        with pytest.raises(KeyError, match="chunk 0"):
+            uq.map_chunks(work, out)
+        assert np.all(out[CHUNK_SIZE:] == 1.0)
+
     def test_import_starts_no_thread(self):
         proc = _run_child("import threading, attrisk\n"
                           "print([t.name for t in threading.enumerate()])\n")
@@ -193,7 +211,7 @@ class TestChunkParallel:
 
     def test_pool_without_affinity_or_fork_hook(self):
         # macOS has no os.sched_getaffinity and Windows no os.register_at_fork
-        # either: the pool then takes the CPU count, and the bits do not change.
+        # either: the workers are then the CPU count, and the bits do not change.
         n = 3 * CHUNK_SIZE + 5
         proc = _run_child(
             "import os, sys\n"
@@ -277,10 +295,6 @@ class TestSortInPlace:
             EmpiricalDistribution._from_owned(values)
 
     def test_one_worker_sorts_on_the_calling_thread(self, monkeypatch):
-        class NoPool:
-            def map(self, *args):
-                raise AssertionError("a one-worker pool must not be used")
-
         monkeypatch.setattr(uq, "POOL_SORT_MIN", 2)
         monkeypatch.setattr(uq, "_workers", 1)
         monkeypatch.setattr(uq, "_pool", NoPool())
@@ -288,8 +302,8 @@ class TestSortInPlace:
         assert sorted_in_place(values).tobytes() == np.sort(values).tobytes()
 
     def test_call_from_pool_work_finishes(self):
-        # Every pool thread sorts inside map_chunks work; were the sort to map
-        # onto the pool, each would wait on the others for ever.
+        # Every worker sorts inside map_chunks work: the nested calls run
+        # inline, so none waits on the others.
         proc = _run_child(
             "import numpy as np\n"
             "from attrisk import uq\n"
@@ -339,78 +353,139 @@ class TestSortInPlace:
         assert peak < 8 * CHUNK_SIZE
 
 
+def handshake():
+    """Two tasks, each waiting (with a timeout) for the other to start, so they
+    must run on two threads at once; each returns its index, thread and result."""
+    started = [threading.Event(), threading.Event()]
+
+    def task(me, result=None):
+        def run():
+            started[me].set()
+            assert started[1 - me].wait(30), "the other task never started"
+            return me, threading.get_ident(), result() if result else None
+
+        return run
+
+    return task
+
+
+class RecordingPool:
+    """The pool, counting the work submitted to it."""
+
+    def __init__(self, pool):
+        self.pool, self.submitted = pool, 0
+
+    def submit(self, *args):
+        self.submitted += 1
+        return self.pool.submit(*args)
+
+
 class TestAtOnce:
-    def test_there_runs_on_the_pool_beside_here(self, two_workers):
-        threads = {}
+    def test_results_come_back_in_order(self, monkeypatch):
+        # More workers than CPUs, three callers at once and a thread switch at
+        # every chance: each task still runs once, its result in its place.
+        monkeypatch.setattr(uq, "_workers", 4)
+        ran, mismatches = [], []
 
-        def work(name, result):
-            threads[name] = threading.get_ident()
-            return result
+        def task(caller, k):
+            ran.append((caller, k))
+            return k
 
-        assert uq.at_once(lambda: work("here", 1), lambda: work("there", 2)) == (1, 2)
-        assert threads["here"] == threading.get_ident() != threads["there"]
+        def calls(caller):
+            for _ in range(20):
+                got = uq.at_once(*(partial(task, caller, k) for k in range(16)))
+                if got != list(range(16)):
+                    mismatches.append(got)
 
-    def test_there_raising_is_raised_after_here_finishes(self, two_workers):
-        raised, finished = threading.Event(), []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=calls, args=(c,)) for c in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert mismatches == []
+        assert sorted(ran) == sorted([(c, k) for c in range(3) for k in range(16)] * 20)
 
-        def there():
-            raised.set()
-            raise KeyError("there")
+    def test_two_tasks_run_at_once_one_on_the_caller(self, two_workers):
+        task = handshake()
+        (first, one, _), (second, other, _) = uq.at_once(task(0), task(1))
+        assert (first, second) == (0, 1)
+        assert one != other and threading.get_ident() in (one, other)
 
-        def here():
-            assert raised.wait(30)
-            finished.append("here")
+    def test_an_error_waits_for_the_started_tasks_and_stops_the_rest(self, two_workers):
+        started, failing, ran = threading.Event(), threading.Event(), []
 
-        with pytest.raises(KeyError, match="there"):
-            uq.at_once(here, there)
-        assert finished == ["here"]
+        def fails():
+            assert started.wait(30)
+            try:
+                raise KeyError("fails")
+            finally:
+                failing.set()
 
-    def test_here_raising_waits_for_there(self, two_workers):
-        raising, finished = threading.Event(), []
-
-        def there():
-            assert raising.wait(30)
+        def slow():
+            started.set()
+            assert failing.wait(30)
             time.sleep(0.05)
-            finished.append("there")
+            ran.append("slow")
 
-        def here():
-            raising.set()
-            raise KeyError("here")
+        with pytest.raises(KeyError, match="fails"):
+            uq.at_once(fails, slow, lambda: ran.append("after"))
+        assert ran == ["slow"]
 
-        with pytest.raises(KeyError, match="here"):
-            uq.at_once(here, there)
-        assert finished == ["there"]
+    def test_the_lowest_indexed_error_is_raised(self, two_workers):
+        raised = threading.Event()
 
-    def test_there_runs_under_the_callers_error_state(self, two_workers):
+        def first():
+            assert raised.wait(30)
+            raise KeyError("first")
+
+        def second():
+            try:
+                raise KeyError("second")
+            finally:
+                raised.set()
+
+        with pytest.raises(KeyError, match="first"):
+            uq.at_once(first, second)
+
+    def test_tasks_run_under_the_callers_error_state(self, two_workers):
+        task = handshake()
+        with np.errstate(over="raise"):
+            results = uq.at_once(task(0, lambda: np.geterr()["over"]),
+                                 task(1, lambda: np.geterr()["over"]))
+        assert [over for _, _, over in results] == ["raise", "raise"]
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            uq.at_once(lambda: None, lambda: np.full(2, 1e308) * 10.0)
+            uq.at_once(*[lambda: np.full(2, 1e308) * 10.0] * 4)
 
-    def test_one_worker_runs_inline_there_first(self, monkeypatch):
-        class NoPool:
-            def submit(self, *args):
-                raise AssertionError("a one-worker pool must not be used")
-
+    def test_one_worker_runs_inline_in_order(self, monkeypatch):
         monkeypatch.setattr(uq, "_workers", 1)
         monkeypatch.setattr(uq, "_pool", NoPool())
         order = []
-        assert uq.at_once(lambda: order.append("here") or 1,
-                          lambda: order.append("there") or 2) == (1, 2)
-        assert order == ["there", "here"]
+        assert uq.at_once(*(partial(order.append, k) for k in range(3))) == [None] * 3
+        assert order == [0, 1, 2]
 
-    def test_pool_thread_caller_runs_inline_there_first(self, two_workers):
-        order = []
+    def test_one_task_runs_inline(self, two_workers, monkeypatch):
+        monkeypatch.setattr(uq, "_pool", NoPool())
+        assert uq.at_once(threading.get_ident) == [threading.get_ident()]
 
-        def work(name, result):
-            order.append((name, threading.get_ident()))
-            return result
+    def test_call_from_a_task_runs_inline_in_order(self, two_workers, monkeypatch):
+        pool = RecordingPool(uq._pool)
+        monkeypatch.setattr(uq, "_pool", pool)
+        task, order = handshake(), []
 
-        def on_pool():
-            return uq.at_once(lambda: work("here", 1), lambda: work("there", 2)), \
-                threading.get_ident()
+        def nested(me):
+            return uq.at_once(*(partial(lambda k: order.append((me, k, threading.get_ident())), k)
+                                for k in range(3)))
 
-        result, worker = uq._pool.submit(on_pool).result(timeout=60)
-        assert result == (1, 2)
-        assert order == [("there", worker), ("here", worker)]
+        results = uq.at_once(task(0, partial(nested, 0)), task(1, partial(nested, 1)))
+        assert pool.submitted == 1  # the outer call's one helper
+        for me, thread, _ in results:
+            assert [(k, t) for m, k, t in order if m == me] == [(k, thread) for k in range(3)]
 
 
 class TestEmpiricalDistribution:
