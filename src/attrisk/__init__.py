@@ -6,11 +6,9 @@ __version__ = "0.1.0"
 from .uq import (  # noqa: E402,F401
     BoxWhiskerSummary,
     EmpiricalDistribution,
-    RandomStream,
     UncertainScalar,
     histogram,
     percentile,
-    sample,
     summarize,
     tail_probability,
 )

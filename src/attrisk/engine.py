@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .uq import (
     EmpiricalDistribution,
-    RandomStream,
     UncertainScalar,
     at_once,
     chunk_sampler,
@@ -219,22 +219,20 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
     The distribution sorts what is still out of order: any product array, and
     an excess that a falling or turning surface, draws past the knots, or
     rounding at a knot leave out of order."""
-    draw_dprime = chunk_sampler(decomp.anthropogenic, RandomStream(seed, DPRIME_STREAM), n)
+    draw_dprime = chunk_sampler(decomp.anthropogenic, seed, DPRIME_STREAM, n)
     beta, rr = response.beta, response.rr
     if beta is not None:
-        draw_beta = chunk_sampler(beta, RandomStream(seed, BETA_STREAM), n)
+        draw_beta = chunk_sampler(beta, seed, BETA_STREAM, n)
 
     def draw(i: int, chunk: np.ndarray) -> int:
-        def dprime() -> int:
-            draw_dprime(i, chunk)
-            return np.count_nonzero(chunk > decomp.total)
-
         if beta is None:
-            above = dprime()
+            draw_dprime(i, chunk)
+            above = np.count_nonzero(chunk > decomp.total)
             chunk += decomp.natural
         else:
             betas = np.empty(chunk.size)
-            _, above = at_once(lambda: draw_beta(i, betas), dprime)
+            at_once(partial(draw_beta, i, betas), partial(draw_dprime, i, chunk))
+            above = np.count_nonzero(chunk > decomp.total)
             chunk *= betas
         return above
 

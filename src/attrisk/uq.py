@@ -1,10 +1,12 @@
 """Uncertain scalars, deterministic sampling, and empirical-distribution statistics.
 
-Sampling is built on the Philox counter-based bit generator so that the i-th
-draw of a stream is a pure function of (seed, stream label, i): draws are
-produced in fixed-size chunks, each keyed independently. Every parallel job
-goes through ``at_once(*tasks)``: the caller and one pool thread per further
-CPU take the tasks in turn. ``map_chunks`` runs each chunk's work (draw, then
+A stream is identified by (seed, label), and ``chunk_sampler`` alone defines
+it: its draws come in chunks of CHUNK_SIZE, chunk i from numpy's
+Generator(Philox(SeedSequence(seed, spawn_key=(label, i)))). So each draw is a
+pure function of (seed, label, its index), and distinct labels are independent
+streams: the label is part of the key, not an offset. Every parallel job goes
+through ``at_once(*tasks)``: the caller and one pool thread per further CPU
+take the tasks in turn. ``map_chunks`` runs each chunk's work (draw, then
 finish in place) as one task; the result is bit-identical to doing the chunks
 one after another, and the first n draws do not depend on how many more are
 requested later. A quantity of dispersion 0 is a point mass and draws nothing.
@@ -120,31 +122,17 @@ class UncertainScalar:
             raise ValueError(f"dispersion must be finite and >= 0, got {self.dispersion}")
 
 
-@dataclass(frozen=True)
-class RandomStream:
-    """A reproducible stream of draws identified by (seed, label).
-
-    Distinct labels under the same seed give statistically independent
-    streams; the label is part of the Philox key, not an offset.
-    """
-
-    seed: int
-    label: int = 0
-
-    def generators(self, n: int) -> list[Generator]:
-        """One generator per chunk of the first n draws, keyed (seed, label, i);
-        every draw starts here, on the calling thread, so workers only fill."""
-        return [Generator(Philox(SeedSequence(self.seed, spawn_key=(self.label, i))))
-                for i in range(-(-n // CHUNK_SIZE))]
-
-
-def chunk_sampler(q: UncertainScalar, stream: RandomStream,
+def chunk_sampler(q: UncertainScalar, seed: int, label: int,
                   n: int) -> Callable[[int, np.ndarray], None]:
-    """``draw(i, chunk)`` fills the i-th chunk of n draws of q in place; a point
-    mass keys no generator."""
+    """``draw(i, chunk)`` fills the i-th chunk of n draws of q in place from the
+    stream (seed, label): q.value + q.dispersion times the standard normals of
+    Generator(Philox(SeedSequence(seed, spawn_key=(label, i)))). Every chunk is
+    keyed here, on the calling thread, so workers only fill; a point mass keys
+    no generator."""
     if q.dispersion == 0:
         return lambda i, chunk: chunk.fill(q.value)
-    gens = stream.generators(n)
+    gens = [Generator(Philox(SeedSequence(seed, spawn_key=(label, i))))
+            for i in range(-(-n // CHUNK_SIZE))]
 
     def draw(i: int, chunk: np.ndarray) -> None:
         gens[i].standard_normal(out=chunk)
@@ -152,18 +140,6 @@ def chunk_sampler(q: UncertainScalar, stream: RandomStream,
         chunk += q.value
 
     return draw
-
-
-def sample(q: UncertainScalar, stream: RandomStream, n: int) -> np.ndarray:
-    """Draw n values of q into a new array the caller owns.
-
-    A point mass returns the value exactly, n times.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = np.empty(n)
-    map_chunks(chunk_sampler(q, stream, n), out)
-    return out
 
 
 def sort_in_place(a: np.ndarray) -> None:
@@ -189,10 +165,6 @@ class EmpiricalDistribution:
     """A finalized (sorted, finite) sample-based distribution."""
 
     samples: np.ndarray
-
-    @classmethod
-    def from_samples(cls, samples) -> "EmpiricalDistribution":
-        return cls._from_owned(np.array(samples, dtype=float))
 
     @classmethod
     def _from_owned(cls, arr: np.ndarray) -> "EmpiricalDistribution":

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 import attrisk
-from attrisk import engine, scenario
+from attrisk import engine, scenario, uq
 from attrisk.cli import main
 from attrisk.engine import BETA_STREAM, DPRIME_STREAM
-from attrisk.uq import CHUNK_SIZE, RandomStream
+from attrisk.uq import CHUNK_SIZE
 
 SCENARIOS = Path(attrisk.__file__).parent / "scenarios"
 SYRIA = str(SCENARIOS / "syria_2010.yaml")
@@ -41,7 +41,7 @@ def no_sampler(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a sampler was reached")
 
-    for owner, name in [(engine, "map_chunks"), (RandomStream, "generators")]:
+    for owner, name in [(engine, "map_chunks"), (uq, "SeedSequence")]:
         monkeypatch.setattr(owner, name, unreachable)
 
 
@@ -371,18 +371,12 @@ class TestOnePipeline:
 
     @pytest.mark.parametrize("argv", [["report", SYRIA], ["propagate", *SYRIA_FLAGS],
                                       ["selftest"]], ids=["report", "propagate", "selftest"])
-    def test_each_stream_drawn_once(self, capsys, monkeypatch, argv):
-        calls = []
-        key = RandomStream.generators
-
-        def counted(stream, n):
-            calls.append((stream.label, n))
-            return key(stream, n)
-
-        monkeypatch.setattr(RandomStream, "generators", counted)
+    def test_each_stream_drawn_once(self, capsys, spawn_keys, argv):
         code, _, err = run(capsys, *argv, *PIPELINE_RUN)
         assert code in (0, 1) and err == ""
-        assert sorted(calls) == [(BETA_STREAM, PIPELINE_N), (DPRIME_STREAM, PIPELINE_N)]
+        # Each of the three chunks of each stream is keyed once, and nothing else is.
+        assert sorted(spawn_keys) == [(label, i) for label in (BETA_STREAM, DPRIME_STREAM)
+                                      for i in range(3)]
 
     def test_propagate_prints_the_report_statistics(self, capsys):
         code, out, _ = run(capsys, "propagate", *SYRIA_FLAGS, *PIPELINE_RUN)

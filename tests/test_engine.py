@@ -21,7 +21,8 @@ from attrisk.engine import (
     Pchip,
     propagate,
 )
-from attrisk.uq import CHUNK_SIZE, RandomStream, UncertainScalar, chunk_sampler, sample
+from attrisk.uq import CHUNK_SIZE, UncertainScalar, chunk_sampler
+from conftest import sample
 
 SEED = 20150302
 
@@ -539,7 +540,7 @@ class TestPropagationKernel:
         # The surface turns down and up again between the last D0 + D' of
         # the first chunk and the first of the second, and rises within each.
         dprime, n = UncertainScalar(1.0, 0.1), 2 * CHUNK_SIZE
-        d = np.sort(sample(dprime, RandomStream(SEED, DPRIME_STREAM), n)
+        d = np.sort(sample(dprime, SEED, DPRIME_STREAM, n)
                     + (KERNEL_TOTAL - dprime.value))
         a, b = d[CHUNK_SIZE - 1], d[CHUNK_SIZE]
         response = DoseResponse(knots=[(0, 1), (1, 1.5), (a + (b - a) / 3, 2),
@@ -569,14 +570,14 @@ class TestPropagationKernel:
         monkeypatch.setattr(uq, "_workers", 2)  # as on 2 CPUs, also where there is 1
         threads, started = [], {BETA_STREAM: threading.Event(), DPRIME_STREAM: threading.Event()}
 
-        def recording(q, stream, n):
-            draw = chunk_sampler(q, stream, n)
+        def recording(q, seed, label, n):
+            draw = chunk_sampler(q, seed, label, n)
 
             def recorded(i, chunk):
-                threads.append((i, stream.label, threading.get_ident()))
+                threads.append((i, label, threading.get_ident()))
                 if n <= CHUNK_SIZE:
-                    started[stream.label].set()
-                    other = BETA_STREAM + DPRIME_STREAM - stream.label
+                    started[label].set()
+                    other = BETA_STREAM + DPRIME_STREAM - label
                     assert started[other].wait(30), "the other stream was not drawn at once"
                 draw(i, chunk)
 
@@ -603,5 +604,5 @@ class TestPropagationKernel:
     def test_exceedance_counts_the_dprime_draws(self, case):
         n = 5 * CHUNK_SIZE + 17
         _, above = self.run(case, n)
-        draws = sample(KERNEL_CASES[case][1], RandomStream(SEED, DPRIME_STREAM), n)
+        draws = sample(KERNEL_CASES[case][1], SEED, DPRIME_STREAM, n)
         assert above == np.count_nonzero(draws > KERNEL_TOTAL) / n

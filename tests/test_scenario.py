@@ -27,7 +27,7 @@ from attrisk.scenario import (
     run_scenario,
 )
 from attrisk.engine import RiskAttribution
-from attrisk.uq import CHUNK_SIZE, BoxWhiskerSummary, RandomStream, UncertainScalar
+from attrisk.uq import CHUNK_SIZE, BoxWhiskerSummary, UncertainScalar
 
 SCENARIOS = Path(attrisk.__file__).parent / "scenarios"
 SYRIA = SCENARIOS / "syria_2010.yaml"
@@ -451,28 +451,21 @@ class TestRunScenario:
         bundle = run_scenario(cfg)
         assert bundle.attribution.anthropogenic_excess == pytest.approx(3.8232, rel=1e-6)
 
-    @pytest.mark.parametrize("dose_response, draws_per_sample", [
+    @pytest.mark.parametrize("dose_response, streams", [
         ({"kind": "linear", "value": 3.54, "dispersion": 1.2}, 2),
         ({"kind": "surface", "knots": [[0, 1.0], [2, 1.07], [4, 1.2]]}, 1),
     ])
-    def test_each_input_drawn_once(self, monkeypatch, dose_response, draws_per_sample):
-        drawn = []
-        original = RandomStream.generators
-
-        def counted(stream, n):
-            drawn.append((stream.label, n))
-            return original(stream, n)
-
-        monkeypatch.setattr(RandomStream, "generators", counted)
+    def test_each_input_drawn_once(self, monkeypatch, spawn_keys, dose_response, streams):
         built = []
         build = engine.Pchip
         monkeypatch.setattr(engine, "Pchip", lambda x, y: built.append(x) or build(x, y))
         n = 2 * CHUNK_SIZE + 3
         run_scenario(parse_scenario(minimal(dose_response=dose_response,
                                             mc={"samples": n})))
-        labels = [label for label, _ in drawn]
-        assert len(set(labels)) == len(labels)  # no stream is drawn twice
-        assert sum(count for _, count in drawn) == draws_per_sample * n
+        # Each of the three chunks of D', and of beta where it is drawn, is
+        # keyed once, and nothing else is.
+        drawn = [engine.BETA_STREAM, engine.DPRIME_STREAM][-streams:]
+        assert sorted(spawn_keys) == [(label, i) for label in drawn for i in range(3)]
         # The point estimate and the propagation share one interpolant.
         assert len(built) == (dose_response["kind"] == "surface")
 

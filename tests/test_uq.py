@@ -21,22 +21,21 @@ from attrisk.uq import (
     CHUNK_SIZE,
     BoxWhiskerSummary,
     EmpiricalDistribution,
-    RandomStream,
     UncertainScalar,
     histogram,
     percentile,
-    sample,
     sort_in_place,
     summarize,
     tail_probability,
 )
+from conftest import sample
 
 SEED = 20150302
 NORMAL = UncertainScalar(0.0, 1.0)
 
 
 def dist(values):
-    return EmpiricalDistribution.from_samples(values)
+    return EmpiricalDistribution._from_owned(np.array(values, dtype=float))
 
 
 def normal_cdf(x):
@@ -59,47 +58,43 @@ class TestUncertainScalar:
 class TestSampling:
     def test_point_mass_repeats_value(self):
         q = UncertainScalar(3.54)
-        assert sample(q, RandomStream(1), 3).tolist() == [3.54, 3.54, 3.54]
-
-    def test_rejects_zero_draws(self):
-        with pytest.raises(ValueError):
-            sample(UncertainScalar(1.0), RandomStream(1), 0)
+        assert sample(q, 1, 0, 3).tolist() == [3.54, 3.54, 3.54]
 
     def test_standard_normal_moments(self):
         n = 1_000_000
-        draws = sample(UncertainScalar(0.0, 1.0), RandomStream(SEED), n)
+        draws = sample(UncertainScalar(0.0, 1.0), SEED, 0, n)
         assert abs(draws.mean()) < 0.005
         assert abs(draws.std() - 1.0) < 0.005
 
     def test_moment_bounds_scale_with_dispersion(self):
         n = 1_000_000
         q = UncertainScalar(2.0, 0.25)
-        draws = sample(q, RandomStream(SEED, 5), n)
+        draws = sample(q, SEED, 5, n)
         assert abs(draws.mean() - q.value) < 5 * q.dispersion / math.sqrt(n)
         assert abs(draws.std() - q.dispersion) < 5 * q.dispersion / math.sqrt(2 * n)
 
     def test_negative_fraction_matches_normal_cdf(self):
         # fraction of N(1.08, 0.37^2) draws at or below zero
         q = UncertainScalar(1.08, 0.37)
-        draws = sample(q, RandomStream(SEED, 2), 1_000_000)
+        draws = sample(q, SEED, 2, 1_000_000)
         expected = normal_cdf(-1.08 / 0.37)
         assert expected == pytest.approx(0.00176, abs=5e-6)
         assert abs((draws <= 0).mean() - expected) < 0.0005
 
     def test_same_seed_bit_identical(self):
-        a = sample(NORMAL, RandomStream(42, 1), 100_000)
-        b = sample(NORMAL, RandomStream(42, 1), 100_000)
+        a = sample(NORMAL, 42, 1, 100_000)
+        b = sample(NORMAL, 42, 1, 100_000)
         assert np.array_equal(a, b)
 
     def test_prefix_independent_of_total_count(self):
         # the i-th draw depends only on (seed, label, i), not on n
-        short = sample(NORMAL, RandomStream(42, 1), 1000)
-        long = sample(NORMAL, RandomStream(42, 1), CHUNK_SIZE + 5000)
+        short = sample(NORMAL, 42, 1, 1000)
+        long = sample(NORMAL, 42, 1, CHUNK_SIZE + 5000)
         assert np.array_equal(short, long[:1000])
 
     def test_distinct_labels_are_distinct_streams(self):
-        a = sample(NORMAL, RandomStream(42, 1), 1000)
-        b = sample(NORMAL, RandomStream(42, 2), 1000)
+        a = sample(NORMAL, 42, 1, 1000)
+        b = sample(NORMAL, 42, 2, 1000)
         assert not np.array_equal(a, b)
 
 
@@ -130,7 +125,7 @@ class NoPool:
 
 
 def _draw_in_child(n):
-    return sample(NORMAL, RandomStream(7, 1), n).tobytes()
+    return sample(NORMAL, 7, 1, n).tobytes()
 
 
 class TestChunkParallel:
@@ -138,7 +133,7 @@ class TestChunkParallel:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_pool_matches_serial_reference(self, n):
-        assert np.array_equal(sample(NORMAL, RandomStream(SEED, 1), n),
+        assert np.array_equal(sample(NORMAL, SEED, 1, n),
                               serial_chunks(SEED, 1, n))
 
     @pytest.mark.parametrize("n", SIZES)
@@ -147,7 +142,7 @@ class TestChunkParallel:
             random.Random(n).shuffle(chunks)
             return chunks
 
-        assert np.array_equal(sample(NORMAL, RandomStream(SEED, 2), n),
+        assert np.array_equal(sample(NORMAL, SEED, 2, n),
                               serial_chunks(SEED, 2, n, order=shuffled))
 
     def test_concurrent_callers_get_their_own_bits(self):
@@ -157,7 +152,7 @@ class TestChunkParallel:
 
         def draw(label):
             for _ in range(5):
-                if not np.array_equal(sample(NORMAL, RandomStream(SEED, label), n),
+                if not np.array_equal(sample(NORMAL, SEED, label, n),
                                       expected[label]):
                     mismatches.append(label)
 
@@ -177,7 +172,7 @@ class TestChunkParallel:
 
     def test_single_chunk_stays_on_calling_thread(self, monkeypatch):
         monkeypatch.setattr(uq, "_pool", NoPool())
-        assert np.array_equal(sample(NORMAL, RandomStream(SEED, 1), CHUNK_SIZE),
+        assert np.array_equal(sample(NORMAL, SEED, 1, CHUNK_SIZE),
                               serial_chunks(SEED, 1, CHUNK_SIZE))
 
     @pytest.mark.parametrize("n", SIZES[1:])
@@ -216,16 +211,18 @@ class TestChunkParallel:
         proc = _run_child(
             "import os, sys\n"
             "del os.sched_getaffinity, os.register_at_fork\n"
+            "import numpy as np\n"
             "from attrisk import uq\n"
             "assert uq._workers == (os.cpu_count() or 1)\n"
-            "x = uq.sample(uq.UncertainScalar(0.0, 1.0), uq.RandomStream(7, 2), %d)\n"
+            "x = np.empty(%d)\n"
+            "uq.map_chunks(uq.chunk_sampler(uq.UncertainScalar(0.0, 1.0), 7, 2, x.size), x)\n"
             "sys.stdout.buffer.write(x.tobytes())\n" % n)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == sample(NORMAL, RandomStream(7, 2), n).tobytes()
+        assert proc.stdout == sample(NORMAL, 7, 2, n).tobytes()
 
     def test_forked_child_can_draw(self):
         n = 2 * CHUNK_SIZE + 1
-        sample(NORMAL, RandomStream(7, 1), n)  # the parent's pool now exists
+        sample(NORMAL, 7, 1, n)  # the parent's pool now exists
         with multiprocessing.get_context("fork").Pool(1) as pool:
             got = pool.apply_async(_draw_in_child, (n,)).get(timeout=60)
         assert got == serial_chunks(7, 1, n).tobytes()
@@ -265,7 +262,7 @@ class TestSortInPlace:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_around_the_crossover(self, two_workers, offset):
-        values = sample(NORMAL, RandomStream(SEED, 6), uq.POOL_SORT_MIN + offset)
+        values = sample(NORMAL, SEED, 6, uq.POOL_SORT_MIN + offset)
         assert sorted_in_place(values).tobytes() == np.sort(values).tobytes()
 
     RNG = np.random.default_rng(SEED)
@@ -339,7 +336,7 @@ class TestSortInPlace:
         assert mismatches == []
 
     def test_makes_no_n_sized_temporary(self, pooled_sort):
-        values = sample(NORMAL, RandomStream(SEED, 7), 2_000_000)
+        values = sample(NORMAL, SEED, 7, 2_000_000)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -526,21 +523,17 @@ class TestEmpiricalDistribution:
         values[::3] = -0.0
         values[0], values[-1] = -1.0, 1.0
         bits = values.tobytes()
-        assert EmpiricalDistribution._from_owned(values).samples.tobytes() == bits
-
-    def test_from_samples_leaves_caller_array_alone(self):
-        values = np.array([3.0, 1.0, 2.0])
-        d = dist(values)
-        assert values.tolist() == [3.0, 1.0, 2.0]
+        d = EmpiricalDistribution._from_owned(values)
+        assert d.samples.tobytes() == bits
         assert not d.samples.flags.writeable
 
     @pytest.mark.parametrize("n", [2, CHUNK_SIZE + 1, 1_000_000])
     def test_variance_matches_numpy(self, n):
-        d = dist(sample(UncertainScalar(3.54, 1.2), RandomStream(SEED, 4), n))
+        d = dist(sample(UncertainScalar(3.54, 1.2), SEED, 4, n))
         assert d.variance == pytest.approx(np.var(d.samples), rel=1e-12, abs=0)
 
     def test_variance_makes_no_n_sized_temporary(self):
-        d = dist(sample(NORMAL, RandomStream(SEED, 4), 1_000_000))
+        d = dist(sample(NORMAL, SEED, 4, 1_000_000))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -619,8 +612,8 @@ class TestHistogram:
         assert sum(count for _, _, count in bins) == d.sample_count
 
     def test_modal_bin_near_zero_for_standard_normal(self):
-        draws = sample(UncertainScalar(0.0, 1.0), RandomStream(SEED, 3), 1_000_000)
-        bins = histogram(EmpiricalDistribution.from_samples(draws), 100)
+        draws = sample(UncertainScalar(0.0, 1.0), SEED, 3, 1_000_000)
+        bins = histogram(EmpiricalDistribution._from_owned(draws), 100)
         lo, hi, _ = max(bins, key=lambda b: b[2])
         # the density is nearly flat at the mode, so sampling noise can shift
         # the modal bin by a bin or two; require it within 3 widths of zero
