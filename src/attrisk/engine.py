@@ -216,9 +216,11 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
     counted and turned into its product or D0 + D' in place as one task, a
     linear one's beta, then D', as two (side by side only in a run of one chunk).
     D0 + D' is sorted before the map, so each chunk maps whole pieces of rr.
-    The distribution sorts what is still out of order: any product array, and
-    an excess that a falling or turning surface, draws past the knots, or
-    rounding at a knot leave out of order."""
+    The distribution made at the end takes the array over and sorts what is
+    still out of order: any product array, and an excess that a
+    falling or turning surface, draws past the knots, or rounding at a knot
+    leave out of order."""
+    out = np.empty(n)  # first: a count too large to allocate fails before any stream is keyed
     draw_dprime = chunk_sampler(decomp.anthropogenic, seed, DPRIME_STREAM, n)
     beta, rr = response.beta, response.rr
     if beta is not None:
@@ -236,24 +238,21 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
             chunk *= betas
         return above
 
-    out = np.empty(n)
     above = sum(map_chunks(draw, out))
-    if beta is not None:
-        return EmpiricalDistribution._from_owned(out), above / n
+    if beta is None:
+        sort_in_place(out)
+        rr0 = float(rr(decomp.natural))
 
-    sort_in_place(out)
-    rr0 = float(rr(decomp.natural))
+        def excess(i: int, chunk: np.ndarray) -> None:
+            # Mapped in halves, map_sorted's scratch is one chunk per thread.
+            half = -(-chunk.size // 2)
+            rr.map_sorted(chunk[:half])
+            rr.map_sorted(chunk[half:])
+            chunk -= rr0
+            chunk *= 100.0
 
-    def excess(i: int, chunk: np.ndarray) -> None:
-        # Mapped in halves, map_sorted's scratch is one chunk per thread.
-        half = -(-chunk.size // 2)
-        rr.map_sorted(chunk[:half])
-        rr.map_sorted(chunk[half:])
-        chunk -= rr0
-        chunk *= 100.0
-
-    map_chunks(excess, out)
-    return EmpiricalDistribution._from_owned(out), above / n
+        map_chunks(excess, out)
+    return EmpiricalDistribution(out), above / n
 
 
 def analytic_product_moments(a: UncertainScalar, b: UncertainScalar) -> tuple[float, float]:

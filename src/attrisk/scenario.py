@@ -203,13 +203,28 @@ def _uncertain(mapping, path) -> UncertainScalar:
     return UncertainScalar(value, dispersion)
 
 
-def _physical_memory() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+def _physical_memory() -> int | None:
+    """Bytes of physical memory: os.sysconf on Unix, GlobalMemoryStatusEx on
+    Windows, and None where the platform has neither."""
+    if hasattr(os, "sysconf"):
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    import ctypes  # only here: an import that Unix runs never pay for
+
+    class MemoryStatusEx(ctypes.Structure):  # MEMORYSTATUSEX: 2 DWORDs, 7 ULONGLONGs
+        _fields_ = [("length", ctypes.c_uint32), ("load", ctypes.c_uint32),
+                    ("total_phys", ctypes.c_uint64), ("rest", ctypes.c_uint64 * 6)]
+
+    status = MemoryStatusEx(length=ctypes.sizeof(MemoryStatusEx))
+    windll = getattr(ctypes, "windll", None)
+    if windll is None or not windll.kernel32.GlobalMemoryStatusEx(ctypes.byref(status)):
+        return None
+    return status.total_phys
 
 
 def _check_fits(count: int, item_bytes: int, path: str):
     need, have = count * item_bytes, _physical_memory()
-    if need > have:
+    # Where memory cannot be read, a count too large fails when its array is allocated.
+    if have is not None and need > have:
         raise ScenarioError(f"{path}: {count} needs {need / 2**30:.3g} GiB of arrays, "
                             f"more than the {have / 2**30:.3g} GiB of physical memory", path)
 

@@ -11,9 +11,9 @@ finish in place) as one task; the result is bit-identical to doing the chunks
 one after another, and the first n draws do not depend on how many more are
 requested later. A quantity of dispersion 0 is a point mass and draws nothing.
 
-An empirical distribution keeps a non-decreasing sample as it is and sorts
-any other with ``sort_in_place``, which partitions a large array at its middle
-and sorts both halves as two tasks.
+``EmpiricalDistribution(samples)`` takes over its array without a copy: it sorts
+it in place with ``sort_in_place`` unless it is non-decreasing (a large one as two
+half-sorts on the pool), refuses a non-finite sample and makes the array read-only.
 """
 
 from __future__ import annotations
@@ -162,14 +162,14 @@ def _ascending(a: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """A finalized (sorted, finite) sample-based distribution."""
+    """A sorted, finite sample-based distribution. It takes over the 1-d float array
+    it is given, without a copy: sorted in place unless non-decreasing (checked
+    window by window, to the first out of order), then made read-only."""
 
     samples: np.ndarray
 
-    @classmethod
-    def _from_owned(cls, arr: np.ndarray) -> "EmpiricalDistribution":
-        """Finalize a float array no one else holds: sorted in place unless it is
-        non-decreasing (checked window by window, to the first out of order), then frozen."""
+    def __post_init__(self):
+        arr = self.samples
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("need at least 2 samples")
         if not all(_ascending(arr[lo:lo + CHUNK_SIZE + 1])
@@ -179,7 +179,6 @@ class EmpiricalDistribution:
         if not (np.isfinite(arr[0]) and np.isfinite(arr[-1])):
             raise ValueError("samples must be finite")
         arr.flags.writeable = False
-        return cls(arr)
 
     @property
     def sample_count(self) -> int:

@@ -149,7 +149,7 @@ def test_criterion_9_property_suites():
     for i in range(cases):
         values = rng.normal(rng.uniform(-10, 10), rng.uniform(0.1, 5),
                             size=rng.integers(2, 300))
-        d = EmpiricalDistribution._from_owned(values)
+        d = EmpiricalDistribution(values)
 
         q1, q2 = sorted(rng.uniform(0, 1, size=2))
         assert percentile(d, q1) <= percentile(d, q2)

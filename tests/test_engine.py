@@ -488,8 +488,9 @@ class TestPropagationKernel:
 
     @pytest.fixture
     def finalized(self, monkeypatch):
-        """Per run: the result of each order check _from_owned makes, one per
-        window of CHUNK_SIZE + 1 values up to the first False (then it sorts)."""
+        """Per run: the result of each order check the distribution makes on the
+        array it takes over, one per window of CHUNK_SIZE + 1 values up to the
+        first False (then it sorts)."""
         checks = []
 
         def recorded(a):
@@ -502,7 +503,7 @@ class TestPropagationKernel:
 
     @pytest.fixture
     def sorts(self, monkeypatch):
-        """Per run: the size of each array _from_owned sorts (the surface
+        """Per run: the size of each array the distribution sorts (the surface
         path's sort of D0 + D' before the map is not counted)."""
         sizes = []
 

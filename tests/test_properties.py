@@ -21,7 +21,7 @@ sample_lists = st.lists(finite_floats, min_size=2, max_size=200)
 
 
 def dist(values):
-    return EmpiricalDistribution._from_owned(np.array(values, dtype=float))
+    return EmpiricalDistribution(np.array(values, dtype=float))
 
 
 def product(beta, dprime, seed, n):

@@ -3,6 +3,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -350,6 +353,53 @@ class TestMemoryBound:
         with pytest.raises(ScenarioError) as exc:
             parse(1001)
         assert exc.value.field == f"{block}.{key}"
+
+    # As on Windows: no os.sysconf, and ctypes.windll as given (a kernel32 whose
+    # GlobalMemoryStatusEx reports physical_memory bytes, or none at all).
+    WINDOWS_CHILD = textwrap.dedent("""\
+        import ctypes, os, sys, types
+        del os.sysconf
+        ctypes.__dict__.pop("windll", None)
+        physical_memory = {physical_memory}
+
+        def GlobalMemoryStatusEx(ref):
+            status = ref._obj  # the MEMORYSTATUSEX that byref points to
+            assert status.length == ctypes.sizeof(status) == 64
+            status.total_phys = physical_memory
+            return 1
+
+        if physical_memory is not None:
+            ctypes.windll = types.SimpleNamespace(
+                kernel32=types.SimpleNamespace(GlobalMemoryStatusEx=GlobalMemoryStatusEx))
+        from attrisk import cli
+        sys.exit(cli.main(sys.argv[1:]))
+        """)
+
+    def run_without_sysconf(self, physical_memory, *args):
+        src = str(Path(scenario.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = self.WINDOWS_CHILD.format(physical_memory=physical_memory)
+        return subprocess.run([sys.executable, "-c", code, "attribute", str(SYRIA), *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_windows_reads_global_memory_status(self):
+        size = 10 ** 6 * scenario._SAMPLE_BYTES
+        proc = self.run_without_sysconf(size, "--samples", "100")
+        assert proc.returncode == 0, proc.stderr
+        proc = self.run_without_sysconf(size, "--set", f"mc.samples={10 ** 6 + 1}")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: mc.samples: ")
+        assert "physical memory" in proc.stderr
+
+    def test_no_memory_source_leaves_the_count_to_the_allocation(self):
+        proc = self.run_without_sysconf(None, "--samples", "100")
+        assert proc.returncode == 0, proc.stderr
+        # 8e15 bytes is beyond the user address space of x86-64 and arm64 (at
+        # most 2^48 bytes), so the allocation fails without mapping anything.
+        proc = self.run_without_sysconf(None, "--set", f"mc.samples={10 ** 15}")
+        assert proc.returncode == 1, proc.stderr
+        assert "Unable to allocate" in proc.stderr
 
     @pytest.mark.parametrize("changes", [
         {},

@@ -35,7 +35,7 @@ NORMAL = UncertainScalar(0.0, 1.0)
 
 
 def dist(values):
-    return EmpiricalDistribution._from_owned(np.array(values, dtype=float))
+    return EmpiricalDistribution(np.array(values, dtype=float))
 
 
 def normal_cdf(x):
@@ -289,7 +289,7 @@ class TestSortInPlace:
         values[at] = np.nan
         assert sorted_in_place(values).tobytes() == np.sort(values).tobytes()
         with pytest.raises(ValueError, match="samples must be finite"):
-            EmpiricalDistribution._from_owned(values)
+            EmpiricalDistribution(values)
 
     def test_one_worker_sorts_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(uq, "POOL_SORT_MIN", 2)
@@ -507,6 +507,32 @@ class TestEmpiricalDistribution:
         assert d.samples.tolist() == [1, 2, 3]
         assert d.sample_count == 3
 
+    def test_constructor_sorts_an_unsorted_array(self):
+        d = EmpiricalDistribution(np.array([3.0, 1.0, 2.0]))
+        assert percentile(d, 0.0) == 1.0
+        bins = histogram(d, 4)
+        edges = [lo for lo, _, _ in bins] + [bins[-1][1]]
+        assert edges == [1.0, 1.5, 2.0, 2.5, 3.0]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_constructor_refuses_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            EmpiricalDistribution(np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("values", [[1.0], [[1.0, 2.0], [3.0, 4.0]]],
+                             ids=["one-sample", "2-d"])
+    def test_constructor_refuses_one_sample_or_2d(self, values):
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            EmpiricalDistribution(np.array(values))
+
+    def test_constructor_takes_over_the_array_read_only(self):
+        values = np.array([3.0, 1.0, 2.0])
+        d = EmpiricalDistribution(values)
+        assert d.samples is values
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+
     @pytest.mark.parametrize("at", [1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1,
                                     2 * CHUNK_SIZE + 4])
     def test_one_descent_anywhere_is_sorted(self, at):
@@ -523,7 +549,7 @@ class TestEmpiricalDistribution:
         values[::3] = -0.0
         values[0], values[-1] = -1.0, 1.0
         bits = values.tobytes()
-        d = EmpiricalDistribution._from_owned(values)
+        d = EmpiricalDistribution(values)
         assert d.samples.tobytes() == bits
         assert not d.samples.flags.writeable
 
@@ -613,7 +639,7 @@ class TestHistogram:
 
     def test_modal_bin_near_zero_for_standard_normal(self):
         draws = sample(UncertainScalar(0.0, 1.0), SEED, 3, 1_000_000)
-        bins = histogram(EmpiricalDistribution._from_owned(draws), 100)
+        bins = histogram(EmpiricalDistribution(draws), 100)
         lo, hi, _ = max(bins, key=lambda b: b[2])
         # the density is nearly flat at the mode, so sampling noise can shift
         # the modal bin by a bin or two; require it within 3 widths of zero
