@@ -137,14 +137,14 @@ def _selftest_checks(cfg, bundle):
     attribution, s, p = bundle.attribution, bundle.distribution_summary, bundle.p_value
     exact_mean, exact_var = analytic_product_moments(cfg.dose_response.beta, cfg.anthropogenic)
 
+    near = [("natural_point", attribution.natural_excess, 4.96, 0.06),
+            ("anthropogenic_point", attribution.anthropogenic_excess, 3.82, 0.03),
+            ("median", s.median, 3.6, 0.15),
+            ("p05", s.p05, 1.1, 0.3),
+            ("p95", s.p95, 7.3, 0.3)]
     return [
-        ("natural_point", attribution.natural_excess, "4.96 ± 0.06",
-         abs(attribution.natural_excess - 4.96) <= 0.06),
-        ("anthropogenic_point", attribution.anthropogenic_excess, "3.82 ± 0.03",
-         abs(attribution.anthropogenic_excess - 3.82) <= 0.03),
-        ("median", s.median, "3.6 ± 0.15", abs(s.median - 3.6) <= 0.15),
-        ("p05", s.p05, "1.1 ± 0.3", abs(s.p05 - 1.1) <= 0.3),
-        ("p95", s.p95, "7.3 ± 0.3", abs(s.p95 - 7.3) <= 0.3),
+        *((name, value, f"{target} ± {tol}", abs(value - target) <= tol)
+          for name, value, target, tol in near),
         ("null_rejection", p, "< 0.01 and 0.0033 ± 0.001",
          p < 0.01 and abs(p - 0.0033) <= 0.001),
         ("mc_moments", s.mean, f"mean {exact_mean:.4f} ± 0.01, var ±2%",

@@ -190,21 +190,20 @@ def integral_attribution(response: DoseResponse, decomp: AnomalyDecomposition) -
     if response.beta is not None:
         natural = response.beta.value * decomp.natural
         anthropogenic = response.beta.value * decomp.anthropogenic.value
-        return RiskAttribution(natural, anthropogenic, 1.0 + (natural + anthropogenic) / 100.0)
-    d0 = decomp.natural
-    d_total = decomp.natural + decomp.anthropogenic.value
-    last = response.knots[-1][0]
-    if d0 < 0:
-        raise DomainCoverageError(f"natural component {d0} is below the surface domain")
-    if d_total > last:
-        raise DomainCoverageError(
-            f"anomaly {d_total} exceeds the last surface knot at D={last}")
-
-    # rr(0) is 1.0 exactly: the first piece at s = 0 is its constant term, the
-    # knot (0, 1), and DoseResponse refuses non-finite coefficients.
-    rr_d0, rr_total = response.rr(np.array([d0, d_total])).tolist()
-    natural = 100.0 * (rr_d0 - 1.0)
-    anthropogenic = 100.0 * (rr_total - rr_d0)
+    else:
+        d0 = decomp.natural
+        d_total = decomp.natural + decomp.anthropogenic.value
+        last = response.knots[-1][0]
+        if d0 < 0:
+            raise DomainCoverageError(f"natural component {d0} is below the surface domain")
+        if d_total > last:
+            raise DomainCoverageError(
+                f"anomaly {d_total} exceeds the last surface knot at D={last}")
+        # rr(0) is 1.0 exactly: the first piece at s = 0 is its constant term, the
+        # knot (0, 1), and DoseResponse refuses non-finite coefficients.
+        rr_d0, rr_total = response.rr(np.array([d0, d_total])).tolist()
+        natural = 100.0 * (rr_d0 - 1.0)
+        anthropogenic = 100.0 * (rr_total - rr_d0)
     return RiskAttribution(natural, anthropogenic, 1.0 + (natural + anthropogenic) / 100.0)
 
 

@@ -30,6 +30,7 @@ from .engine import (
     propagate,
 )
 from .uq import (
+    SUMMARY_LEVELS,
     BoxWhiskerSummary,
     EmpiricalDistribution,
     UncertainScalar,
@@ -41,7 +42,7 @@ from .uq import (
 
 DEFAULT_SEED = 20150302
 DEFAULT_SAMPLES = 1_000_000
-DEFAULT_QUANTILES = (0.005, 0.05, 0.25, 0.5, 0.75, 0.95, 0.995)
+DEFAULT_QUANTILES = tuple(sorted(SUMMARY_LEVELS.values()))
 DEFAULT_HISTOGRAM_BINS = 80
 DEFAULT_NULL_THRESHOLD = 0.0
 
@@ -54,8 +55,6 @@ EXCEEDANCE_FLAG_FRACTION = 0.01
 # emit grew ~730 B per bin in JSON, ~630 in CSV, at 1e6 bins on CPython
 # 3.11); counts must fit in physical memory.
 _SAMPLE_BYTES, _BIN_BYTES = 8, 1024
-
-FORMATS = ("human", "csv", "json")
 
 _INT, _FLOAT = "tag:yaml.org,2002:int", "tag:yaml.org,2002:float"
 
@@ -449,12 +448,15 @@ def _json_rows(rows: list[str]) -> str:
     return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
 
 
+def _point_estimates(a: RiskAttribution) -> dict[str, float]:
+    """The report's point estimates of a, by their report names."""
+    return {"natural_excess_percent": a.natural_excess,
+            "anthropogenic_excess_percent": a.anthropogenic_excess,
+            "total_relative_risk": a.total_relative_risk}
+
+
 def _emit_json(r: ReportBundle) -> str:
     """The JSON report (see the module docstring) of r, in one pass over r."""
-    a = r.attribution
-    attribution = {"natural_excess_percent": a.natural_excess,
-                   "anthropogenic_excess_percent": a.anthropogenic_excess,
-                   "total_relative_risk": a.total_relative_risk}
     quantiles = [f"{_json_float(q)},\n      {_json_float(v)}" for q, v in r.quantiles]
     histogram, hi, hi_text = [], object(), ""
     for lo, upper, count in r.histogram:
@@ -467,7 +469,7 @@ def _emit_json(r: ReportBundle) -> str:
     provenance = json.dumps({key: float(f"{v:.12g}") if isinstance(v, float) else v
                              for key, v in r.provenance.items()}, indent=2).replace("\n", "\n  ")
     return (f'{{\n  "scenario": {json.dumps(r.scenario)},\n  "year": {json.dumps(r.year)},\n'
-            f'  "attribution": {_json_object(attribution)},\n'
+            f'  "attribution": {_json_object(_point_estimates(r.attribution))},\n'
             f'  "distribution_summary": {_json_object(vars(r.distribution_summary))},\n'
             f'  "p_value": {_json_float(r.p_value)},\n  "quantiles": {_json_rows(quantiles)},\n'
             f'  "histogram": {_json_rows(histogram)},\n  "provenance": {provenance}\n}}\n')
@@ -501,13 +503,10 @@ def _g6(x: float) -> str:
 
 
 def _emit_csv(r: ReportBundle) -> str:
-    s = r.distribution_summary
     rows = [("record_type", "name", "lower", "upper", "value")]
-    for name, value in [("natural_excess_percent", r.attribution.natural_excess),
-                        ("anthropogenic_excess_percent", r.attribution.anthropogenic_excess),
-                        ("total_relative_risk", r.attribution.total_relative_risk)]:
+    for name, value in _point_estimates(r.attribution).items():
         rows.append(("point", name, "", "", _g6(value)))
-    for name, value in vars(s).items():
+    for name, value in vars(r.distribution_summary).items():
         rows.append(("summary", name, "", "", _g6(value)))
     rows.append(("test", "p_value", "", "", _g6(r.p_value)))
     for q, v in r.quantiles:
@@ -517,14 +516,13 @@ def _emit_csv(r: ReportBundle) -> str:
     return "\n".join(",".join(row) for row in rows) + "\n"
 
 
+#: Each report format's writer; FORMATS, the --format choices, keeps this order.
+_EMITTERS = {"human": _emit_human, "csv": _emit_csv, "json": _emit_json}
+FORMATS = tuple(_EMITTERS)
+
+
 def emit_report(r: ReportBundle, format: str = "human") -> bytes:
     """Serialize a report bundle as human text, CSV, or JSON."""
-    if format == "human":
-        text = _emit_human(r)
-    elif format == "csv":
-        text = _emit_csv(r)
-    elif format == "json":
-        text = _emit_json(r)
-    else:
+    if format not in _EMITTERS:
         raise ValueError(f"unknown report format: {format!r} (expected one of {FORMATS})")
-    return text.encode("utf-8")
+    return _EMITTERS[format](r).encode("utf-8")

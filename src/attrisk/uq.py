@@ -11,9 +11,10 @@ finish in place) as one task; the result is bit-identical to doing the chunks
 one after another, and the first n draws do not depend on how many more are
 requested later. A quantity of dispersion 0 is a point mass and draws nothing.
 
-``EmpiricalDistribution(samples)`` takes over its array without a copy: it sorts
-it in place with ``sort_in_place`` unless it is non-decreasing (a large one as two
-half-sorts on the pool), refuses a non-finite sample and makes the array read-only.
+``EmpiricalDistribution(samples)`` takes over its float64 array without a copy: it
+sorts it in place with ``sort_in_place`` unless it is non-decreasing (a large one as
+two half-sorts on the pool), refuses a non-finite sample and makes the array
+read-only. ``summarize`` reads the percentiles named in SUMMARY_LEVELS and the mean.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ from numpy.random import Generator, Philox, SeedSequence
 
 #: Draws per independently-keyed chunk. Fixed: changing it changes streams.
 CHUNK_SIZE = 1 << 16
+
+#: The summary statistics by name, in the report's order, and the level each is read at.
+SUMMARY_LEVELS = {"median": 0.5, "q25": 0.25, "q75": 0.75, "p05": 0.05, "p95": 0.95,
+                  "p005": 0.005, "p995": 0.995}
 
 #: The smallest array ``sort_in_place`` splits across the pool: a power of two
 #: above the crossover on 2 cores (the pooled sort is already faster at 5e5
@@ -162,14 +167,17 @@ def _ascending(a: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """A sorted, finite sample-based distribution. It takes over the 1-d float array
-    it is given, without a copy: sorted in place unless non-decreasing (checked
-    window by window, to the first out of order), then made read-only."""
+    """A sorted, finite sample-based distribution. It takes over the 1-d float64
+    array it is given, without a copy: sorted in place unless non-decreasing
+    (checked window by window, to the first out of order), then made read-only.
+    Anything but a float64 ndarray, such as a list or an int64 array, is refused."""
 
     samples: np.ndarray
 
     def __post_init__(self):
         arr = self.samples
+        if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
+            raise ValueError("samples must be a float64 ndarray")
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("need at least 2 samples")
         if not all(_ascending(arr[lo:lo + CHUNK_SIZE + 1])
@@ -202,7 +210,7 @@ class EmpiricalDistribution:
 
 @dataclass(frozen=True)
 class BoxWhiskerSummary:
-    """Median, quartiles, 90- and 99-centile ranges, and the mean."""
+    """Median, quartiles, 90- and 99-centile ranges (SUMMARY_LEVELS), and the mean."""
 
     median: float
     q25: float
@@ -214,7 +222,7 @@ class BoxWhiskerSummary:
     mean: float
 
     def __post_init__(self):
-        ordered = (self.p005, self.p05, self.q25, self.median, self.q75, self.p95, self.p995)
+        ordered = tuple(getattr(self, k) for k in sorted(SUMMARY_LEVELS, key=SUMMARY_LEVELS.get))
         if any(a > b for a, b in zip(ordered, ordered[1:])):
             raise ValueError(f"percentiles out of order: {ordered}")
 
@@ -236,16 +244,8 @@ def percentile(d: EmpiricalDistribution, q: float) -> float:
 
 
 def summarize(d: EmpiricalDistribution) -> BoxWhiskerSummary:
-    return BoxWhiskerSummary(
-        median=percentile(d, 0.5),
-        q25=percentile(d, 0.25),
-        q75=percentile(d, 0.75),
-        p05=percentile(d, 0.05),
-        p95=percentile(d, 0.95),
-        p005=percentile(d, 0.005),
-        p995=percentile(d, 0.995),
-        mean=d.mean,
-    )
+    return BoxWhiskerSummary(**{name: percentile(d, q) for name, q in SUMMARY_LEVELS.items()},
+                             mean=d.mean)
 
 
 def tail_probability(d: EmpiricalDistribution, threshold: float) -> float:

@@ -132,3 +132,11 @@ def test_propagate_stdout(flags, digest, capsys, monkeypatch):
     monkeypatch.delenv("ATTRISK_SEED", raising=False)
     assert main(["propagate", *flags.split()]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_selftest_stdout(capsys, monkeypatch):
+    # Every check's name, value and target text, at the default seed and n.
+    digest = "598f24b51f3fcf82e0ab10f236f3da2689d3404d84e57e47c7393f6c67112cfd"
+    monkeypatch.delenv("ATTRISK_SEED", raising=False)
+    assert main(["selftest"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -17,8 +17,12 @@ from hypothesis import example, given, settings, strategies as st
 import attrisk
 from attrisk import cli, engine, scenario, uq
 from attrisk.scenario import (
+    DEFAULT_HISTOGRAM_BINS,
+    DEFAULT_NULL_THRESHOLD,
+    DEFAULT_QUANTILES,
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    YAML_LOADER,
     ParseError,
     ReportBundle,
     ScenarioError,
@@ -30,7 +34,7 @@ from attrisk.scenario import (
     run_scenario,
 )
 from attrisk.engine import RiskAttribution
-from attrisk.uq import CHUNK_SIZE, BoxWhiskerSummary, UncertainScalar
+from attrisk.uq import CHUNK_SIZE, SUMMARY_LEVELS, BoxWhiskerSummary, UncertainScalar
 
 SCENARIOS = Path(attrisk.__file__).parent / "scenarios"
 SYRIA = SCENARIOS / "syria_2010.yaml"
@@ -588,8 +592,27 @@ class TestEmission:
         assert len(values) == 1
 
     def test_unknown_format_rejected(self, small_bundle):
-        with pytest.raises(ValueError):
+        message = "unknown report format: 'xml' (expected one of ('human', 'csv', 'json'))"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             emit_report(small_bundle, "xml")
+
+    def test_report_lists_agree(self, small_bundle):
+        doc = json.loads(emit_report(small_bundle, "json"))
+        rows = [line.split(",") for line in emit_report(small_bundle, "csv").decode().splitlines()]
+        names = {kind: [name for record, name, *_ in rows if record == kind]
+                 for kind in ("point", "summary")}
+        assert list(doc["distribution_summary"]) == names["summary"] == [*SUMMARY_LEVELS, "mean"]
+        assert list(doc["attribution"]) == names["point"]
+        assert DEFAULT_QUANTILES == tuple(sorted(SUMMARY_LEVELS.values()))
+        # The defaults the README's scenario-file block shows are the code's.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        section = readme.split("\n## Scenario files\n", 1)[1]
+        shown = yaml.load(re.search(r"```yaml\n(.*?)```", section, re.S).group(1),
+                          Loader=YAML_LOADER)
+        assert shown["mc"] == {"seed": DEFAULT_SEED, "samples": DEFAULT_SAMPLES}
+        assert shown["report"] == {"quantiles": list(DEFAULT_QUANTILES),
+                                   "histogram_bins": DEFAULT_HISTOGRAM_BINS,
+                                   "null_threshold": DEFAULT_NULL_THRESHOLD}
 
 
 def _sig12(x):

@@ -525,6 +525,13 @@ class TestEmpiricalDistribution:
         with pytest.raises(ValueError, match="need at least 2 samples"):
             EmpiricalDistribution(np.array(values))
 
+    @pytest.mark.parametrize("values", [[3.0, 1.0, 2.0], np.array([3, 1, 2], dtype=np.int64),
+                                        np.array([3.0, 1.0, 2.0], dtype=np.float32)],
+                             ids=["list", "int64", "float32"])
+    def test_constructor_refuses_all_but_a_float64_array(self, values):
+        with pytest.raises(ValueError, match="^samples must be a float64 ndarray$"):
+            EmpiricalDistribution(values)
+
     def test_constructor_takes_over_the_array_read_only(self):
         values = np.array([3.0, 1.0, 2.0])
         d = EmpiricalDistribution(values)
