@@ -54,11 +54,11 @@ def _read(name: str, raw: str):
 
 def _parse_set(pairs: list[str]) -> dict[str, object]:
     overrides: dict[str, object] = {}
-    for pair in pairs or []:
+    for pair in pairs:
         if "=" not in pair:
             raise ScenarioError(f"--set expects KEY=VALUE, got {pair!r}")
         key, _, raw = pair.partition("=")
-        if not key:
+        if "" in key.split("."):
             raise ScenarioError(f"--set expects a dotted key, got {pair!r}")
         overrides[key] = _read(f"--set {key}", raw)
     return overrides

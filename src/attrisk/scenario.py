@@ -2,8 +2,8 @@
 
 Scenarios are YAML files (nested key-value, comments allowed). Validation is
 strict: unknown keys are rejected so typos cannot silently fall back to
-defaults. Reports carry provenance (seed, sample count, a SHA-256 digest of
-the canonicalized config, tool version): a report names the config that
+defaults. A JSON report carries provenance (seed, sample count, a SHA-256
+digest of the canonicalized config, tool version): it names the config that
 produced it by its digest, but does not hold the config itself. A JSON report
 is ``json.dumps(report, indent=2)`` plus a newline, its floats rounded to 12
 significant digits, written in one pass with each number formatted once.
@@ -184,19 +184,24 @@ def _integer(value, path, minimum, requirement) -> int:
     return value
 
 
-def _number(mapping, key, path, default=None, required=False):
-    if key not in mapping:
-        if required:
-            raise ScenarioError(f"missing required field: {path}", path)
-        return default
-    return _finite(mapping[key], path)
+_REQUIRED = object()
+
+
+def _field(mapping, key, path, read, default=_REQUIRED):
+    """read(mapping[key], path) where key is present; where it is absent,
+    default, unread, or the missing-field error if the field has no default."""
+    if key in mapping:
+        return read(mapping[key], path)
+    if default is _REQUIRED:
+        raise ScenarioError(f"missing required field: {path}", path)
+    return default
 
 
 def _uncertain(mapping, path) -> UncertainScalar:
     m = _require_mapping(mapping, path)
     _check_keys(m, {"value", "dispersion"}, path)
-    value = _number(m, "value", f"{path}.value", required=True)
-    dispersion = _number(m, "dispersion", f"{path}.dispersion", default=0.0)
+    value = _field(m, "value", f"{path}.value", _finite)
+    dispersion = _field(m, "dispersion", f"{path}.dispersion", _finite, 0.0)
     if dispersion < 0:
         raise ScenarioError(f"{path}.dispersion: must be >= 0", f"{path}.dispersion")
     return UncertainScalar(value, dispersion)
@@ -228,8 +233,7 @@ def _check_fits(count: int, item_bytes: int, path: str):
                             f"more than the {have / 2**30:.3g} GiB of physical memory", path)
 
 
-def _dose_response(mapping) -> DoseResponse:
-    path = "dose_response"
+def _dose_response(mapping, path) -> DoseResponse:
     m = _require_mapping(mapping, path)
     kind = m.get("kind", "linear")
     if kind == "linear":
@@ -239,7 +243,7 @@ def _dose_response(mapping) -> DoseResponse:
         _check_keys(m, {"kind", "knots"}, path)
         knots = m.get("knots")
         if not isinstance(knots, list) or any(
-                not isinstance(k, list) or len(k) != 2 for k in knots or []):
+                not isinstance(k, list) or len(k) != 2 for k in knots):
             raise ScenarioError(f"{path}.knots: expected a list of [D, relative_risk] pairs",
                                 f"{path}.knots")
         knots = [[_finite(v, f"{path}.knots") for v in knot] for knot in knots]
@@ -264,16 +268,12 @@ def parse_scenario(data, default_seed: int | None = None) -> ScenarioConfig:
     if not isinstance(name, str) or not name:
         raise ScenarioError("name: required non-empty string", "name")
     year = _integer(top.get("year"), "year", -math.inf, "required integer")
-    anomaly_total = _number(top, "anomaly_total", "anomaly_total", required=True)
+    anomaly_total = _field(top, "anomaly_total", "anomaly_total", _finite)
     if anomaly_total < 0:
         raise ScenarioError("anomaly_total: must be >= 0 (positive = adverse)",
                             "anomaly_total")
-    if "anthropogenic" not in top:
-        raise ScenarioError("missing required field: anthropogenic", "anthropogenic")
-    anthropogenic = _uncertain(top["anthropogenic"], "anthropogenic")
-    if "dose_response" not in top:
-        raise ScenarioError("missing required field: dose_response", "dose_response")
-    dose_response = _dose_response(top["dose_response"])
+    anthropogenic = _field(top, "anthropogenic", "anthropogenic", _uncertain)
+    dose_response = _field(top, "dose_response", "dose_response", _dose_response)
 
     mc = _require_mapping(top.get("mc", {}), "mc")
     _check_keys(mc, {"seed", "samples"}, "mc")
@@ -295,8 +295,8 @@ def parse_scenario(data, default_seed: int | None = None) -> ScenarioConfig:
     bins = _integer(report.get("histogram_bins", DEFAULT_HISTOGRAM_BINS),
                     "report.histogram_bins", 1, "must be a positive integer")
     _check_fits(bins, _BIN_BYTES, "report.histogram_bins")
-    null_threshold = _number(report, "null_threshold", "report.null_threshold",
-                             default=DEFAULT_NULL_THRESHOLD)
+    null_threshold = _field(report, "null_threshold", "report.null_threshold", _finite,
+                            DEFAULT_NULL_THRESHOLD)
 
     return ScenarioConfig(
         name=name, year=year, anomaly_total=anomaly_total,
@@ -417,8 +417,6 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
             quantiles=quantile_rows, histogram=hist, provenance=provenance,
             distribution=dist,
         )
-    except ScenarioError:
-        raise
     except ValueError as exc:  # e.g. DomainCoverageError: the config asks the impossible
         raise ScenarioError(f"scenario '{cfg.name}': {exc}") from exc
     except Exception as exc:  # e.g. MemoryError

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -156,10 +157,6 @@ class TestAttribute:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {name}: ") and "mc." not in err
 
-    def test_malformed_set_flag(self, capsys):
-        code, _, err = run(capsys, "attribute", SYRIA, "--set", "noequals")
-        assert code == 2
-
     @pytest.mark.parametrize("argv, key", [
         (["attribute", SYRIA, "--set", "mc.seed=[1"], "mc.seed"),
         (["selftest", "--set", "mc.samples=["], "mc.samples"),
@@ -201,6 +198,35 @@ class TestAttribute:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+
+SURFACE_SET = "dose_response={kind: surface, knots: [[0, 1], [5, 1.2]]}"
+#: CLI refusals of syria_2010 at --samples 100: (--set pairs, stderr line, whether
+#: the decomposition warns first).
+CLI_REFUSALS = {
+    "no-equals": (["noequals"], "--set expects KEY=VALUE, got 'noequals'", False),
+    "empty-key": (["=5"], "--set expects a dotted key, got '=5'", False),
+    "through-a-value": (["name.x=1"], "override path not a mapping: name.x", False),
+    **{f"empty-segment-{pair}": ([pair], f"--set expects a dotted key, got {pair!r}", False)
+       for pair in [".=5", "mc.=1", "mc..seed=1", ".mc.seed=1"]},
+    "natural-below-surface": ([SURFACE_SET, "anthropogenic.value=3"],
+                              "scenario 'syria_2010': natural component -0.52 "
+                              "is below the surface domain", True),
+    "anomaly-beyond-surface": ([SURFACE_SET, "anomaly_total=6"],
+                               "scenario 'syria_2010': anomaly 6.0 exceeds "
+                               "the last surface knot at D=5.0", False),
+}
+
+
+@pytest.mark.parametrize("sets, message, warns", CLI_REFUSALS.values(), ids=CLI_REFUSALS)
+def test_refusal_is_one_error_line(capsys, sets, message, warns):
+    argv = ["attribute", SYRIA, "--samples", "100"]
+    for pair in sets:
+        argv += ["--set", pair]
+    # Under the suite's warnings-as-errors an unexpected warning would exit 1.
+    with pytest.warns(UserWarning) if warns else contextlib.nullcontext():
+        code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestSeedPrecedence:

@@ -82,6 +82,10 @@ class TestDecompose:
         with pytest.raises(SignConventionError):
             decompose_anomaly(-0.5, DPRIME)
 
+    def test_non_finite_total_rejected(self):
+        with pytest.raises(ValueError, match="^total anomaly must be finite$"):
+            decompose_anomaly(math.nan, UncertainScalar(1.0))
+
     def test_anthropogenic_exceeding_total_warns(self):
         with pytest.warns(UserWarning):
             decompose_anomaly(1.0, UncertainScalar(1.5))

@@ -54,7 +54,55 @@ def minimal(**changes):
     return data
 
 
+def without(dotted):
+    """MINIMAL with the field at the dotted path removed."""
+    data = minimal()
+    *parents, last = dotted.split(".")
+    node = data
+    for part in parents:
+        node = node[part]
+    del node[last]
+    return data
+
+
+#: Every parse_scenario refusal of a document: (document, whole message, field).
+REFUSALS = {
+    "name-absent": (without("name"), "name: required non-empty string", "name"),
+    "name-empty": (minimal(name=""), "name: required non-empty string", "name"),
+    "year-absent": (without("year"), "year: required integer", "year"),
+    **{f"{path}-absent": (without(path), f"missing required field: {path}", path)
+       for path in ["anomaly_total", "anthropogenic", "anthropogenic.value",
+                    "dose_response", "dose_response.value"]},
+    "anomaly_total-negative": (minimal(anomaly_total=-1.0),
+                               "anomaly_total: must be >= 0 (positive = adverse)",
+                               "anomaly_total"),
+    "anthropogenic-null": (minimal(anthropogenic=None),
+                           "anthropogenic: expected a mapping, got NoneType", "anthropogenic"),
+    "document-list": ([1, 2], "scenario: expected a mapping, got list", "scenario"),
+    "mc-int": (minimal(mc=5), "mc: expected a mapping, got int", "mc"),
+    "report-null": (minimal(report=None), "report: expected a mapping, got NoneType", "report"),
+    "negative-dispersion": (minimal(anthropogenic={"value": 1.08, "dispersion": -1}),
+                            "anthropogenic.dispersion: must be >= 0",
+                            "anthropogenic.dispersion"),
+    "knots-int": (minimal(dose_response={"kind": "surface", "knots": 5}),
+                  "dose_response.knots: expected a list of [D, relative_risk] pairs",
+                  "dose_response.knots"),
+    "kind-cubic": (minimal(dose_response={"kind": "cubic"}),
+                   "dose_response.kind: must be 'linear' or 'surface', got 'cubic'",
+                   "dose_response.kind"),
+    "null-threshold-string": (minimal(report={"null_threshold": "x"}),
+                              "report.null_threshold: expected a number, got 'x'",
+                              "report.null_threshold"),
+}
+
+
 class TestLoading:
+    @pytest.mark.parametrize("data, message, field", REFUSALS.values(), ids=REFUSALS)
+    def test_refusal_names_field(self, data, message, field):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(data)
+        assert (str(exc.value), exc.value.field) == (message, field)
+
     def test_bundled_syria_values(self):
         cfg = load_scenario(SYRIA)
         assert cfg.name == "syria_2010"
@@ -103,11 +151,6 @@ class TestLoading:
         with pytest.raises(ParseError) as exc:
             load_scenario(bad)
         assert str(bad) in str(exc.value)
-
-    def test_negative_anomaly_rejected(self):
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(minimal(anomaly_total=-1.0))
-        assert "anomaly_total" in str(exc.value)
 
     def test_overrides_applied_before_validation(self, tmp_path):
         cfg = load_scenario(SYRIA, overrides={"mc.seed": 7, "mc.samples": 5000})
