@@ -6,7 +6,7 @@ defaults. A JSON report carries provenance (seed, sample count, a SHA-256
 digest of the canonicalized config, tool version): it names the config that
 produced it by its digest, but does not hold the config itself. A JSON report
 is ``json.dumps(report, indent=2)`` plus a newline, its floats rounded to 12
-significant digits, written in one pass with each number formatted once.
+significant digits, written in one pass from each number's ``%.12g`` text.
 """
 
 from __future__ import annotations
@@ -428,9 +428,13 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_float(x) -> str:
-    """x rounded to 12 significant digits, as json writes the float."""
-    text = repr(float(f"{x:.12g}"))
-    return _NON_FINITE.get(text, text)
+    """x rounded to 12 significant digits, as json writes the float. A fixed %g
+    text lies in [1e-4, 1e12), where repr prints the same digits."""
+    text = "%.12g" % x
+    if "e" in text or "n" in text:  # repr may differ in exponent form; inf, nan are no JSON
+        text = repr(float(text))
+        return _NON_FINITE.get(text, text)
+    return text if "." in text else text + ".0"
 
 
 def _json_object(numbers: dict) -> str:

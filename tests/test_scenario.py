@@ -698,9 +698,12 @@ def emitted_json(r):
         return type(exc)
 
 
-# The smallest subnormal, a negative zero, the largest float, and the points
-# where repr turns to exponent form: 1e16 and below 1e-4.
-EDGE_FLOATS = [5e-324, -0.0, 1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-5, 1e-4]
+# The smallest subnormal and normal floats, a negative zero, the largest float,
+# and the points where the text turns to exponent form: %g's at 1e12 (a value
+# that rounds up to it), repr's at 1e16, and both below 1e-4 (a value that
+# rounds up to it).
+EDGE_FLOATS = [5e-324, 2.2250738585072014e-308, -0.0, 1.7976931348623157e308, 999999999999.6,
+               1e16, 9999999999999998.0, 1e-5, 1e-4, 9.9999999999995e-05]
 numbers = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 counts = st.one_of(st.sampled_from([0, 2 ** 53 + 1, 2 ** 64 + 7]), st.integers(0, 2 ** 70))
 # Quotes, backslashes, control characters, U+2028/9, non-ASCII and astral text.
@@ -740,6 +743,36 @@ ONE_ROW = ReportBundle(
     p_value=0.0, quantiles=((0.5, 5e-324),), histogram=((-0.0, 1e16, 2 ** 53 + 1),),
     provenance={"seed": 1, "nested": {"list": [1, [2.5, {}], []], "dict": {"k": None}},
                 "fraction": 0.1 + 0.2})
+
+
+def json_float_reference(x):
+    """A number's JSON text by definition: json's text of x rounded to 12 digits."""
+    text = repr(float(f"{x:.12g}"))
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+
+
+# Each side of %g's and repr's switches to exponent form, and of the subnormals.
+JSON_FLOAT_EDGES = [1e-4, 9.99999999999e-05, 9.9999999999995e-05, 999999999999.4,
+                    999999999999.6, 123456789012.0, 1e12, 9999999999999998.0, 1e16,
+                    2.2250738585072014e-308, 2.225073858507201e-308, 5e-324,
+                    1.7976931348623157e308, -1.7976931348623157e308]
+
+
+class TestJsonFloat:
+    """_json_float writes the reference text whether or not it takes the fast path."""
+
+    @given(st.floats() | st.floats().map(np.float64) | st.integers(-10 ** 300, 10 ** 300)
+           | st.booleans())
+    @example(math.nan)
+    @example(np.float64(-0.0))
+    @example(10 ** 12)
+    @example(True)
+    def test_any_number(self, x):
+        assert scenario._json_float(x) == json_float_reference(x)
+
+    @pytest.mark.parametrize("x", JSON_FLOAT_EDGES)
+    def test_edges(self, x):
+        assert scenario._json_float(x) == json_float_reference(x)
 
 
 class TestJsonWriter:
