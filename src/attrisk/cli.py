@@ -3,11 +3,11 @@
 Commands:
   attribute  run a scenario file and emit the report (default: human text)
   report     same pipeline, default format json (for piping/archiving)
-  propagate  raw two-factor propagation from inline numeric flags
+  propagate  run the bundled propagate template, its fields filled by the flags
   selftest   replay the bundled syria_2010 scenario against its known answers
 
-Every command validates a scenario with scenario.parse_scenario and runs it
-through scenario.run_scenario; propagate builds its scenario from the flags.
+Every command loads a scenario file with scenario.load_scenario and runs it
+through scenario.run_scenario; propagate and selftest load a bundled one.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 All report output goes to stdout (or --out); diagnostics go to stderr.
@@ -23,17 +23,12 @@ import yaml
 
 from . import __version__, scenario
 from .engine import analytic_product_moments
-from .scenario import (
-    FORMATS,
-    ScenarioError,
-    apply_overrides,
-    emit_report,
-    load_scenario,
-    parse_scenario,
-    run_scenario,
-)
+from .scenario import FORMATS, ScenarioError, emit_report, load_scenario, run_scenario
 
 ENV_SEED = "ATTRISK_SEED"
+# The bundled scenarios, beside this module; os.path, unlike importlib.resources,
+# costs no import.
+SCENARIOS = os.path.join(os.path.dirname(__file__), "scenarios")
 
 # The scenario field each numeric flag fills.
 FLAG_FIELDS = {"--seed": "mc.seed", "--samples": "mc.samples",
@@ -71,24 +66,17 @@ def _env_default_seed() -> int | None:
     return scenario._integer(_read(ENV_SEED, raw), ENV_SEED, 0, "must be a non-negative integer")
 
 
-def _load(args, template: dict | None = None) -> "ScenarioConfig":
-    """The command's scenario: propagate's template, or the file args.scenario
-    with its --set overrides; then each numeric flag given, on its field. An
-    error in a field that a flag filled names the flag."""
+def _load(args) -> scenario.ScenarioConfig:
+    """The command's scenario: the file args.scenario with its --set overrides,
+    then each numeric flag given, on its field. An error in a field that a flag
+    filled names the flag."""
     flags = {field: _read(flag, raw) for flag, field in FLAG_FIELDS.items()
              if (raw := getattr(args, flag[2:].replace("-", "_"), None)) is not None}
     overrides = {**_parse_set(getattr(args, "set", [])), **flags}
     default_seed = _env_default_seed()
     try:
-        if template is None:
-            # Precedence: built-in default < ATTRISK_SEED < file < --set < flags.
-            return load_scenario(args.scenario, overrides, default_seed=default_seed)
-        data = apply_overrides(template, overrides)
-        # D' also sets the total, which never falls below it, so no
-        # decomposition warning fires; the total does not enter beta * D'.
-        data["anomaly_total"] = max(scenario._finite(flags["anthropogenic.value"],
-                                                     "anthropogenic.value"), 0.0)
-        return parse_scenario(data, default_seed=default_seed)
+        # Precedence: built-in default < ATTRISK_SEED < file < --set < flags.
+        return load_scenario(args.scenario, overrides, default_seed=default_seed)
     except ScenarioError as exc:
         flag = next((f for f, field in FLAG_FIELDS.items()
                      if field == exc.field and field in flags), None)
@@ -119,7 +107,7 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    cfg = _load(args, {"name": "propagate", "year": 0, "dose_response": {"kind": "linear"}})
+    cfg = _load(args)
     r = run_scenario(cfg)
     s = r.distribution_summary
     print(f"samples: {r.provenance['samples']}  seed: {r.provenance['seed']}")
@@ -200,15 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_prop.add_argument("--dprime-sd")
     p_prop.add_argument("--seed")
     p_prop.add_argument("--samples")
-    p_prop.set_defaults(func=cmd_propagate)
+    p_prop.set_defaults(func=cmd_propagate, scenario=os.path.join(SCENARIOS, "propagate.yaml"))
 
     p_self = sub.add_parser("selftest", help="replay the bundled canonical scenario")
     p_self.add_argument("--set", action="append", metavar="KEY=VALUE", default=[])
     p_self.add_argument("--seed")
     p_self.add_argument("--samples")
-    # Beside this module; os.path, unlike importlib.resources, costs no import.
-    p_self.set_defaults(func=cmd_selftest, scenario=os.path.join(
-        os.path.dirname(__file__), "scenarios", "syria_2010.yaml"))
+    p_self.set_defaults(func=cmd_selftest, scenario=os.path.join(SCENARIOS, "syria_2010.yaml"))
 
     return parser
 

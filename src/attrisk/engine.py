@@ -20,7 +20,6 @@ map breaks its order. Both sorts are ``uq.sort_in_place``, two tasks at large n.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -60,17 +59,15 @@ class AnomalyDecomposition:
 def decompose_anomaly(total: float, anthropogenic: UncertainScalar) -> AnomalyDecomposition:
     """Split a total anomaly into natural = total - anthropogenic.value and D'.
 
-    An anthropogenic central value exceeding the total is a warning, not an
-    error: sampled draws may exceed it anyway and are handled downstream.
+    An anthropogenic central value above the total is allowed: it leaves a
+    negative natural component, which a surface refuses and a linear response
+    scales, and the report states the share of D' draws above the total.
     """
     if not math.isfinite(total):
         raise ValueError("total anomaly must be finite")
     if total < 0:
         raise SignConventionError(
             f"total anomaly must be >= 0 (positive = adverse), got {total}")
-    if anthropogenic.value > total:
-        warnings.warn(f"anthropogenic central value {anthropogenic.value} exceeds "
-                      f"total anomaly {total}; natural component is negative", stacklevel=2)
     return AnomalyDecomposition(total, anthropogenic, total - anthropogenic.value)
 
 
@@ -182,10 +179,9 @@ class RiskAttribution:
 
 def integral_attribution(response: DoseResponse, decomp: AnomalyDecomposition) -> RiskAttribution:
     """Excess risk as the integral of the dose-response slope over [0, D0] and
-    [D0, D0+D']: beta * D0 and beta * D' for a linear response (a negative D0,
-    already warned of, is allowed), and for a surface the differences of rr
-    itself, rr(D0) - rr(0) and rr(D0+D') - rr(D0), where D0 >= 0 and D0+D' is at
-    most the last knot.
+    [D0, D0+D']: beta * D0 and beta * D' for a linear response (a negative D0
+    is allowed), and for a surface the differences of rr itself, rr(D0) - rr(0)
+    and rr(D0+D') - rr(D0), where D0 >= 0 and D0+D' is at most the last knot.
     """
     if response.beta is not None:
         natural = response.beta.value * decomp.natural

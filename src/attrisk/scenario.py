@@ -115,11 +115,11 @@ class ScenarioConfig:
     anomaly_total: float
     anthropogenic: UncertainScalar
     dose_response: DoseResponse
-    seed: int = DEFAULT_SEED
-    samples: int = DEFAULT_SAMPLES
-    quantiles: tuple[float, ...] = DEFAULT_QUANTILES
-    histogram_bins: int = DEFAULT_HISTOGRAM_BINS
-    null_threshold: float = DEFAULT_NULL_THRESHOLD
+    seed: int
+    samples: int
+    quantiles: tuple[float, ...]
+    histogram_bins: int
+    null_threshold: float
 
     def canonical_dict(self) -> dict:
         """Fully-defaulted, fixed-order plain-dict form of the config."""

@@ -30,10 +30,6 @@ SYRIA = str(Path(attrisk.__file__).parent / "scenarios" / "syria_2010.yaml")
 MAGNITUDE = 1e6
 MAX_SAMPLES = 2000
 
-# A point D' above the total warns (engine.decompose_anomaly) and runs; any
-# other warning, a numpy RuntimeWarning included, stays an error.
-pytestmark = pytest.mark.filterwarnings("ignore:anthropogenic central value:UserWarning")
-
 LINEAR = {"name": "linear", "year": 2010, "anomaly_total": 2.48,
           "anthropogenic": {"value": 1.08, "dispersion": 0.37},
           "dose_response": {"kind": "linear", "value": 3.54, "dispersion": 1.2},

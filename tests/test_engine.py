@@ -86,10 +86,6 @@ class TestDecompose:
         with pytest.raises(ValueError, match="^total anomaly must be finite$"):
             decompose_anomaly(math.nan, UncertainScalar(1.0))
 
-    def test_anthropogenic_exceeding_total_warns(self):
-        with pytest.warns(UserWarning):
-            decompose_anomaly(1.0, UncertainScalar(1.5))
-
 
 def linear(beta: float) -> DoseResponse:
     return DoseResponse(beta=UncertainScalar(beta))
@@ -214,12 +210,8 @@ class TestIntegralAttribution:
     @pytest.mark.parametrize("beta", [BETA, UncertainScalar(-0.7), UncertainScalar(11.33, 2)],
                              ids=["syria", "protective", "temperature"])
     def test_linear_response_is_beta_times_each_component(self, beta, total, dprime):
-        # A negative natural component warns, and still has its beta * D0.
-        if dprime.value > total:
-            with pytest.warns(UserWarning, match="natural component is negative"):
-                decomp = decompose_anomaly(total, dprime)
-        else:
-            decomp = decompose_anomaly(total, dprime)
+        # A negative natural component still has its beta * D0.
+        decomp = decompose_anomaly(total, dprime)
         attr = integral_attribution(DoseResponse(beta=beta), decomp)
         natural = beta.value * decomp.natural
         anthropogenic = beta.value * dprime.value
