@@ -9,7 +9,7 @@ Commands:
 Every command loads a scenario file with scenario.load_scenario and runs it
 through scenario.run_scenario; propagate and selftest load a bundled one.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
+Exit codes: 0 success, 1 runtime failure, 2 usage/config error, 130 interrupted.
 All report output goes to stdout (or --out); diagnostics go to stderr.
 """
 
@@ -85,18 +85,29 @@ def _load(args) -> scenario.ScenarioConfig:
         raise ScenarioError(str(exc).replace(exc.field, flag, 1), flag) from exc
 
 
-def _write(payload: bytes, out_path: str | None):
+def _write(payload: bytes, out_path: str | None = None):
+    """Write payload whole to the file out_path, else to stdout, or raise one
+    error that names the target and the bytes it took."""
+    target = f"--out {out_path}" if out_path else "stdout"
     if out_path:
         try:
-            fh = open(out_path, "wb")
+            fh = open(out_path, "wb", buffering=0)
         except OSError as exc:
-            raise ScenarioError(f"--out {out_path}: cannot write: {exc.strerror}",
-                                "--out") from exc
-        with fh:
-            fh.write(payload)
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
+            raise ScenarioError(f"{target}: cannot write: {exc.strerror}", "--out") from exc
+    elif sys.stdout is None:
+        raise RuntimeError("stdout is closed")
+    else:  # its unbuffered file, whose write tells how many bytes it took
+        fh = getattr(sys.stdout.buffer, "raw", sys.stdout.buffer)
+    written, reason = 0, "no more taken"
+    try:
+        while written < len(payload) and (n := fh.write(memoryview(payload)[written:])):
+            written += n
+    except OSError as exc:
+        reason = exc.strerror or exc
+    if out_path:
+        fh.close()
+    if written < len(payload):
+        raise RuntimeError(f"{target}: wrote {written} of {len(payload)} bytes: {reason}")
 
 
 def cmd_attribute(args) -> int:
@@ -107,16 +118,15 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    cfg = _load(args)
-    r = run_scenario(cfg)
+    r = run_scenario(_load(args))
     s = r.distribution_summary
-    print(f"samples: {r.provenance['samples']}  seed: {r.provenance['seed']}")
-    print(f"mean:   {s.mean:.4f}")
-    print(f"median: {s.median:.4f}")
-    print(f"IQR:    [{s.q25:.4f}, {s.q75:.4f}]")
-    print(f"90%:    [{s.p05:.4f}, {s.p95:.4f}]")
-    print(f"99%:    [{s.p005:.4f}, {s.p995:.4f}]")
-    print(f"p_value (at or below 0): {r.p_value:.4f}")
+    _write(f"samples: {r.provenance['samples']}  seed: {r.provenance['seed']}\n"
+           f"mean:   {s.mean:.4f}\n"
+           f"median: {s.median:.4f}\n"
+           f"IQR:    [{s.q25:.4f}, {s.q75:.4f}]\n"
+           f"90%:    [{s.p05:.4f}, {s.p95:.4f}]\n"
+           f"99%:    [{s.p005:.4f}, {s.p995:.4f}]\n"
+           f"p_value (at or below 0): {r.p_value:.4f}\n".encode())
     return 0
 
 
@@ -147,10 +157,10 @@ def cmd_selftest(args) -> int:
         raise ScenarioError("dose_response: selftest checks the linear beta * D' answers, "
                             "not a surface", "dose_response")
     checks = _selftest_checks(cfg, run_scenario(cfg))
-    for name, value, target, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name:<22} {value:.4f}  (target {target})")
     passed = sum(ok for *_, ok in checks)
-    print(f"{passed}/{len(checks)} checks passed")
+    _write("".join([*(f"{'PASS' if ok else 'FAIL'}  {name:<22} {value:.4f}  (target {target})\n"
+                      for name, value, target, ok in checks),
+                    f"{passed}/{len(checks)} checks passed\n"]).encode())
     return 0 if passed == len(checks) else 1
 
 
@@ -207,6 +217,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:  # usage/config error (2) or runtime failure (1)
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ScenarioError) else 1

@@ -9,7 +9,7 @@ distribution of the anthropogenic excess risk. Each question is one call on
 point estimates and ``propagate`` the distribution. Excess risk is carried in
 percent; the relative-risk multiplier is dimensionless. An input of dispersion
 0 is a point mass. ``propagate`` turns each Philox chunk of one n-array into
-its excess risk in place as one ``uq.at_once`` task (the caller and one pool
+its excess risk in place as one ``uq.at_once`` task (the caller and one helper
 thread per further CPU take the tasks in turn), counting the D' draws above the
 total anomaly on the way; a run of one chunk draws its beta and D' as two tasks.
 A surface run sorts D0 + D' before it maps it, so each chunk evaluates whole

@@ -5,7 +5,7 @@ it: its draws come in chunks of CHUNK_SIZE, chunk i from numpy's
 Generator(Philox(SeedSequence(seed, spawn_key=(label, i)))). So each draw is a
 pure function of (seed, label, its index), and distinct labels are independent
 streams: the label is part of the key, not an offset. Every parallel job goes
-through ``at_once(*tasks)``: the caller and one pool thread per further CPU
+through ``at_once(*tasks)``: the caller and one helper thread per further CPU
 take the tasks in turn. ``map_chunks`` runs each chunk's work (draw, then
 finish in place) as one task; the result is bit-identical to doing the chunks
 one after another, and the first n draws do not depend on how many more are
@@ -13,7 +13,7 @@ requested later. A quantity of dispersion 0 is a point mass and draws nothing.
 
 ``EmpiricalDistribution(samples)`` takes over its float64 array without a copy: it
 sorts it in place with ``sort_in_place`` unless it is non-decreasing (a large one as
-two half-sorts on the pool), refuses a non-finite sample and makes the array
+two half-sorts at once), refuses a non-finite sample and makes the array
 read-only. ``summarize`` reads the percentiles named in SUMMARY_LEVELS and the mean.
 """
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -37,46 +36,31 @@ CHUNK_SIZE = 1 << 16
 SUMMARY_LEVELS = {"median": 0.5, "q25": 0.25, "q75": 0.75, "p05": 0.05, "p95": 0.95,
                   "p005": 0.005, "p995": 0.995}
 
-#: The smallest array ``sort_in_place`` splits across the pool: a power of two
-#: above the crossover on 2 cores (the pooled sort is already faster at 5e5
-#: values), so runs of 1e6 samples sort on the pool.
+#: The smallest array ``sort_in_place`` splits into two tasks: a power of two
+#: above the crossover on 2 cores (the two-thread sort is already faster at 5e5
+#: values), so runs of 1e6 samples sort on two threads.
 POOL_SORT_MIN = 1 << 19
 
-#: The process-wide pool, a thread per usable CPU but the caller's, and the CPU count.
-_pool: ThreadPoolExecutor
-_workers: int
+#: The usable CPUs; CPU affinity is Linux-only, elsewhere it is the CPU count.
+_workers: int = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
 #: ``active`` is set on a thread while it runs ``at_once`` tasks.
 _in_task = threading.local()
 
 
-def _start_pool() -> None:
-    # At import, and again in a forked child, which inherits the executor but
-    # none of its threads. No thread starts until the first task. CPU affinity
-    # is Linux-only; elsewhere the workers are the CPU count.
-    global _pool, _workers
-    affinity = getattr(os, "sched_getaffinity", None)
-    _workers = len(affinity(0)) if affinity else os.cpu_count() or 1
-    _pool = ThreadPoolExecutor(max_workers=max(_workers - 1, 1),
-                               thread_name_prefix="attrisk-philox")
-
-
-_start_pool()
-if hasattr(os, "register_at_fork"):  # Unix only
-    os.register_at_fork(after_in_child=_start_pool)
-
-
 def at_once(*tasks: Callable[[], object]) -> list:
-    """``[task() for task in tasks]``: the caller and up to _workers - 1 pool
-    threads take the next unstarted task in turn, under the caller's numpy error
-    state; one task, one worker or a call from a task (every worker is busy)
-    runs inline, in order. It returns or raises once every started task is done,
-    so none still writes into the caller's arrays; after a failure no task
-    starts, and the lowest-indexed task's error is raised."""
+    """``[task() for task in tasks]``: the caller and up to _workers - 1 helper
+    threads it starts take the next unstarted task in turn, under the caller's
+    numpy error state; one task, one worker or a call from a task (every worker
+    is busy) runs inline, in order. It joins its helpers before it returns or
+    raises (unless interrupted in the join), so no task still writes into the
+    caller's arrays; after a failure, a helper that cannot start included, no task
+    starts, and the lowest-indexed task's error, else the caller's, is raised."""
     if len(tasks) < 2 or _workers < 2 or getattr(_in_task, "active", False):
         return [task() for task in tasks]
     errors, lock = np.geterr(), threading.Lock()
     unstarted = iter(range(len(tasks)))
-    results, failed = [None] * len(tasks), {}
+    results, failed, helpers = [None] * len(tasks), {}, []
 
     def take_turns() -> None:
         _in_task.active = True
@@ -93,14 +77,17 @@ def at_once(*tasks: Callable[[], object]) -> list:
         finally:
             _in_task.active = False
 
-    def on_pool() -> None:
-        with np.errstate(**errors):  # the caller's, which the caller holds already
-            take_turns()
-
-    helpers = [_pool.submit(on_pool) for _ in range(min(_workers, len(tasks)) - 1)]
-    take_turns()
-    # A helper still queued behind other callers' work has nothing left to take.
-    wait([helper for helper in helpers if not helper.cancel()])
+    try:
+        for _ in range(min(_workers, len(tasks)) - 1):
+            # A helper takes turns under the caller's error state, as the caller does.
+            helper = threading.Thread(target=np.errstate(**errors)(take_turns))
+            helper.start()
+            helpers.append(helper)
+        take_turns()
+    except BaseException as exc:  # a helper that cannot start, or an interrupt
+        failed[len(tasks)] = exc  # outside a task: after every task's error
+    for helper in helpers:
+        helper.join()
     if failed:
         raise failed[min(failed)]
     return results

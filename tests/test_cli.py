@@ -1,8 +1,10 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -476,6 +478,13 @@ class TestColdStart:
     def test_surface_scenario_never_loads_scipy(self, surface_scenario):
         assert run_fresh("attribute", surface_scenario) == (0, False)
 
+    def test_import_loads_no_executor_or_logging(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, attrisk.cli\n"
+             "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'logging'))))"],
+            env=fresh_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
 
 #: Configs whose results leave the float range: a product beyond 1.8e308, and
 #: a dispersion so wide that the samples' sum overflows.
@@ -523,3 +532,98 @@ def test_dprime_above_total_is_stated_once(argv, code, stdout, stderr):
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (code, stderr)
     assert re.match(stdout, proc.stdout, re.S), proc.stdout
+
+
+#: A report of about 300 KB: more than a pipe holds, and more than the file-size
+#: limit below.
+LARGE_REPORT = ["report", SYRIA, "--samples", "2000", "--set", "report.histogram_bins=5000"]
+FILE_SIZE_LIMIT = 100 * 1024
+
+
+def limit_file_size():
+    import resource  # Unix only; the tests that use it skip without it
+
+    resource.setrlimit(resource.RLIMIT_FSIZE, (FILE_SIZE_LIMIT, FILE_SIZE_LIMIT))
+
+
+class TestOutputEdge:
+    """A report reaches its reader whole, or the run exits 1 with one line that
+    names the target and the bytes it took."""
+
+    @pytest.mark.parametrize("to_out", [False, True], ids=["stdout", "out"])
+    def test_short_write_is_runtime_error(self, tmp_path, to_out):
+        # The child's own limit: Python ignores SIGXFSZ, so the write comes up short.
+        pytest.importorskip("resource")
+        target = tmp_path / "report.json"
+        argv = [*LARGE_REPORT, "--out", str(target)] if to_out else LARGE_REPORT
+        with open(tmp_path / "stdout", "wb") as stdout:
+            proc = subprocess.run([sys.executable, "-m", "attrisk.cli", *argv],
+                                  stdout=stdout, stderr=subprocess.PIPE, text=True,
+                                  preexec_fn=limit_file_size, env=fresh_env(), timeout=120)
+        name = f"--out {target}" if to_out else "stdout"
+        assert proc.returncode == 1
+        assert re.fullmatch(rf"error: {re.escape(name)}: wrote {FILE_SIZE_LIMIT} of \d+ bytes: "
+                            r"File too large\n", proc.stderr), proc.stderr
+        written = target if to_out else tmp_path / "stdout"
+        assert written.stat().st_size == FILE_SIZE_LIMIT
+
+    def test_reader_that_closes_early_is_runtime_error(self):
+        with subprocess.Popen([sys.executable, "-m", "attrisk.cli", *LARGE_REPORT],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=fresh_env()) as proc:
+            assert proc.stdout.read(10) == b'{\n  "scena'
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert re.fullmatch(rb"error: stdout: wrote \d+ of \d+ bytes: Broken pipe\n", err), err
+
+    @pytest.mark.parametrize("argv", [
+        ["report", SYRIA, "--samples", "2000"],
+        ["propagate", "--beta", "3.54", "--dprime", "1.08", "--samples", "2000"],
+        ["selftest", "--samples", "2000"],
+    ], ids=["report", "propagate", "selftest"])
+    @pytest.mark.skipif(sys.platform == "win32", reason="preexec_fn is POSIX only")
+    def test_closed_stdout_is_runtime_error(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "attrisk.cli", *argv],
+                              stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1),
+                              env=fresh_env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (1, "error: stdout is closed\n")
+
+
+#: Runs ``main(sys.argv[2:])`` with every draw 20 ms slower, touching the file
+#: sys.argv[1] once the run has begun.
+SLOW_RUN = """\
+import sys, time
+from attrisk import cli, engine
+
+sampler = engine.chunk_sampler
+
+
+def slow_sampler(*args):
+    draw = sampler(*args)
+
+    def slow(i, chunk):
+        open(sys.argv[1], "a").close()
+        time.sleep(0.02)
+        draw(i, chunk)
+
+    return slow
+
+
+engine.chunk_sampler = slow_sampler
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="SIGINT cannot be sent to a child there")
+def test_interrupt_is_one_error_line_and_exit_130(tmp_path):
+    begun = tmp_path / "begun"
+    proc = subprocess.Popen([sys.executable, "-c", SLOW_RUN, str(begun), "report", SYRIA,
+                             "--samples", str(64 * CHUNK_SIZE)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env())
+    deadline = time.monotonic() + 60
+    while not begun.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    proc.send_signal(signal.SIGINT)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out, err) == (130, b"", b"error: interrupted\n")

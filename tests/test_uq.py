@@ -119,11 +119,6 @@ def _run_child(code):
                           capture_output=True, timeout=120)
 
 
-class NoPool:
-    def submit(self, *args):
-        raise AssertionError("this call must not use the pool")
-
-
 def _draw_in_child(n):
     return sample(NORMAL, 7, 1, n).tobytes()
 
@@ -170,10 +165,17 @@ class TestChunkParallel:
         assert not any(t.is_alive() for t in others)
         assert mismatches == []
 
-    def test_single_chunk_stays_on_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(uq, "_pool", NoPool())
-        assert np.array_equal(sample(NORMAL, SEED, 1, CHUNK_SIZE),
-                              serial_chunks(SEED, 1, CHUNK_SIZE))
+    def test_single_chunk_stays_on_calling_thread(self, two_workers):
+        draw, threads = uq.chunk_sampler(NORMAL, SEED, 1, CHUNK_SIZE), []
+
+        def work(i, chunk):
+            threads.append(threading.get_ident())
+            draw(i, chunk)
+
+        out = np.empty(CHUNK_SIZE)
+        uq.map_chunks(work, out)
+        assert threads == [threading.get_ident()]
+        assert np.array_equal(out, serial_chunks(SEED, 1, CHUNK_SIZE))
 
     @pytest.mark.parametrize("n", SIZES[1:])
     def test_chunks_run_under_the_callers_error_state(self, n):
@@ -204,9 +206,10 @@ class TestChunkParallel:
                           "print([t.name for t in threading.enumerate()])\n")
         assert (proc.returncode, proc.stdout) == (0, b"['MainThread']\n"), proc.stderr
 
-    def test_pool_without_affinity_or_fork_hook(self):
+    def test_helpers_without_affinity_or_fork_hook(self):
         # macOS has no os.sched_getaffinity and Windows no os.register_at_fork
-        # either: the workers are then the CPU count, and the bits do not change.
+        # either: the workers are then the CPU count, the helper threads start
+        # all the same, and the bits do not change.
         n = 3 * CHUNK_SIZE + 5
         proc = _run_child(
             "import os, sys\n"
@@ -220,9 +223,22 @@ class TestChunkParallel:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == sample(NORMAL, 7, 2, n).tobytes()
 
+    def test_run_leaves_no_thread_behind(self):
+        # Two workers, so the run's draws and sort take a helper thread.
+        proc = _run_child(
+            "import os, threading\n"
+            "from attrisk import scenario, uq\n"
+            "uq._workers = 2\n"
+            "here = os.path.dirname(scenario.__file__)\n"
+            "cfg = scenario.load_scenario(os.path.join(here, 'scenarios', 'syria_2010.yaml'),\n"
+            "                             {'mc.samples': 2 * uq.CHUNK_SIZE + 1})\n"
+            "scenario.run_scenario(cfg)\n"
+            "print([t.name for t in threading.enumerate()])\n")
+        assert (proc.returncode, proc.stdout) == (0, b"['MainThread']\n"), proc.stderr
+
     def test_forked_child_can_draw(self):
         n = 2 * CHUNK_SIZE + 1
-        sample(NORMAL, 7, 1, n)  # the parent's pool now exists
+        sample(NORMAL, 7, 1, n)  # the parent has drawn with helper threads first
         with multiprocessing.get_context("fork").Pool(1) as pool:
             got = pool.apply_async(_draw_in_child, (n,)).get(timeout=60)
         assert got == serial_chunks(7, 1, n).tobytes()
@@ -236,19 +252,33 @@ def sorted_in_place(values):
 
 @pytest.fixture
 def two_workers(monkeypatch):
-    """Pooled paths open with two workers counted, even where the pool has
-    one thread (its tasks then run in turn)."""
+    """Two-thread paths open with two workers counted, even on one CPU (the
+    helper and the caller then run in turn)."""
     monkeypatch.setattr(uq, "_workers", 2)
 
 
 @pytest.fixture
 def pooled_sort(monkeypatch, two_workers):
-    """sort_in_place takes its pooled path from 2 values up."""
+    """sort_in_place sorts as two tasks from 2 values up."""
     monkeypatch.setattr(uq, "POOL_SORT_MIN", 2)
 
 
+def sort_threads(values):
+    """sort_in_place on a copy of values: the threads its sorts ran on, and the result."""
+    threads = []
+
+    class Recording(np.ndarray):
+        def sort(self, *args, **kwargs):
+            threads.append(threading.get_ident())
+            np.ndarray.sort(self, *args, **kwargs)
+
+    a = np.array(values, dtype=float).view(Recording)
+    sort_in_place(a)
+    return threads, a.view(np.ndarray)
+
+
 class TestSortInPlace:
-    """The pooled sort gives np.sort's bytes: a sorted float64 array is unique
+    """The two-task sort gives np.sort's bytes: a sorted float64 array is unique
     but for the order of mixed -0.0 and +0.0, which no case here holds."""
 
     # pooled_sort sets the same two values for every example.
@@ -294,9 +324,16 @@ class TestSortInPlace:
     def test_one_worker_sorts_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(uq, "POOL_SORT_MIN", 2)
         monkeypatch.setattr(uq, "_workers", 1)
-        monkeypatch.setattr(uq, "_pool", NoPool())
         values = self.SHAPES["normal"]
-        assert sorted_in_place(values).tobytes() == np.sort(values).tobytes()
+        threads, result = sort_threads(values)
+        assert threads == [threading.get_ident()]
+        assert result.tobytes() == np.sort(values).tobytes()
+
+    def test_two_workers_sort_the_halves_as_two_tasks(self, pooled_sort):
+        values = self.SHAPES["normal"]
+        threads, result = sort_threads(values)
+        assert len(threads) == 2 and threading.get_ident() in threads
+        assert result.tobytes() == np.sort(values).tobytes()
 
     def test_call_from_pool_work_finishes(self):
         # Every worker sorts inside map_chunks work: the nested calls run
@@ -364,17 +401,6 @@ def handshake():
         return run
 
     return task
-
-
-class RecordingPool:
-    """The pool, counting the work submitted to it."""
-
-    def __init__(self, pool):
-        self.pool, self.submitted = pool, 0
-
-    def submit(self, *args):
-        self.submitted += 1
-        return self.pool.submit(*args)
 
 
 class TestAtOnce:
@@ -450,6 +476,30 @@ class TestAtOnce:
         with pytest.raises(KeyError, match="first"):
             uq.at_once(first, second)
 
+    def test_a_helper_that_cannot_start_waits_for_the_started_ones(self, monkeypatch):
+        # The second helper fails to start once the first has taken a task: no
+        # further task starts, and the error comes once that task has written.
+        monkeypatch.setattr(uq, "_workers", 3)
+        started, wrote, starts = threading.Event(), [], []
+        start = threading.Thread.start
+
+        def second_fails(thread):
+            starts.append(thread)
+            if len(starts) == 2:
+                assert started.wait(30)
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        def slow(k):
+            started.set()
+            time.sleep(0.05)
+            wrote.append(k)
+
+        monkeypatch.setattr(uq.threading.Thread, "start", second_fails)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            uq.at_once(*(partial(slow, k) for k in range(4)))
+        assert wrote == [0]
+
     def test_tasks_run_under_the_callers_error_state(self, two_workers):
         task = handshake()
         with np.errstate(over="raise"):
@@ -461,18 +511,15 @@ class TestAtOnce:
 
     def test_one_worker_runs_inline_in_order(self, monkeypatch):
         monkeypatch.setattr(uq, "_workers", 1)
-        monkeypatch.setattr(uq, "_pool", NoPool())
         order = []
-        assert uq.at_once(*(partial(order.append, k) for k in range(3))) == [None] * 3
-        assert order == [0, 1, 2]
+        assert uq.at_once(*(partial(lambda k: order.append((k, threading.get_ident())), k)
+                            for k in range(3))) == [None] * 3
+        assert order == [(k, threading.get_ident()) for k in range(3)]
 
-    def test_one_task_runs_inline(self, two_workers, monkeypatch):
-        monkeypatch.setattr(uq, "_pool", NoPool())
+    def test_one_task_runs_inline(self, two_workers):
         assert uq.at_once(threading.get_ident) == [threading.get_ident()]
 
-    def test_call_from_a_task_runs_inline_in_order(self, two_workers, monkeypatch):
-        pool = RecordingPool(uq._pool)
-        monkeypatch.setattr(uq, "_pool", pool)
+    def test_call_from_a_task_runs_inline_in_order(self, two_workers):
         task, order = handshake(), []
 
         def nested(me):
@@ -480,7 +527,9 @@ class TestAtOnce:
                                 for k in range(3)))
 
         results = uq.at_once(task(0, partial(nested, 0)), task(1, partial(nested, 1)))
-        assert pool.submitted == 1  # the outer call's one helper
+        # The caller and the outer call's one helper: the nested calls start none.
+        threads = {thread for _, thread, _ in results}
+        assert len(threads | {t for *_, t in order}) == 2 and threading.get_ident() in threads
         for me, thread, _ in results:
             assert [(k, t) for m, k, t in order if m == me] == [(k, thread) for k in range(3)]
 
