@@ -87,11 +87,18 @@ def _load(args) -> scenario.ScenarioConfig:
 
 def _write(payload: bytes, out_path: str | None = None):
     """Write payload whole to the file out_path, else to stdout, or raise one
-    error that names the target and the bytes it took."""
+    error that names the target and the bytes it took. A regular file out_path,
+    or a new one, is written to a temporary file beside it, which replaces it
+    only once whole and is removed otherwise; a device or FIFO is written as is."""
     target = f"--out {out_path}" if out_path else "stdout"
+    tmp = None
     if out_path:
+        path = os.path.realpath(out_path)
+        if os.path.isfile(path) or not os.path.exists(path):
+            tmp = os.path.join(os.path.dirname(path),
+                               f".{os.path.basename(path)}.{os.getpid()}.tmp")
         try:
-            fh = open(out_path, "wb", buffering=0)
+            fh = open(tmp or path, "xb" if tmp else "wb", buffering=0)
         except OSError as exc:
             raise ScenarioError(f"{target}: cannot write: {exc.strerror}", "--out") from exc
     elif sys.stdout is None:
@@ -100,18 +107,28 @@ def _write(payload: bytes, out_path: str | None = None):
         fh = getattr(sys.stdout.buffer, "raw", sys.stdout.buffer)
     written, reason = 0, "no more taken"
     try:
-        while written < len(payload) and (n := fh.write(memoryview(payload)[written:])):
-            written += n
-    except OSError as exc:
-        reason = exc.strerror or exc
-    if out_path:
-        fh.close()
-    if written < len(payload):
-        raise RuntimeError(f"{target}: wrote {written} of {len(payload)} bytes: {reason}")
+        try:
+            while written < len(payload) and (n := fh.write(memoryview(payload)[written:])):
+                written += n
+        except OSError as exc:
+            reason = exc.strerror or exc
+        if out_path:
+            fh.close()
+        if written < len(payload):
+            raise RuntimeError(f"{target}: wrote {written} of {len(payload)} bytes: {reason}")
+        if tmp:
+            os.replace(tmp, path)
+            tmp = None
+    finally:  # a short write, an interrupt or a failed replace leaves no temporary file
+        if tmp:
+            fh.close()
+            os.remove(tmp)
 
 
 def cmd_attribute(args) -> int:
     cfg = _load(args)
+    if args.out and os.path.exists(args.out) and os.path.samefile(args.out, args.scenario):
+        raise ScenarioError(f"--out {args.out}: is the scenario file itself", "--out")
     bundle = run_scenario(cfg)
     _write(emit_report(bundle, args.format), args.out)
     return 0

@@ -10,8 +10,9 @@ point estimates and ``propagate`` the distribution. Excess risk is carried in
 percent; the relative-risk multiplier is dimensionless. An input of dispersion
 0 is a point mass. ``propagate`` turns each Philox chunk of one n-array into
 its excess risk in place as one ``uq.at_once`` task (the caller and one helper
-thread per further CPU take the tasks in turn), counting the D' draws above the
-total anomaly on the way; a run of one chunk draws its beta and D' as two tasks.
+thread per further CPU take the tasks in turn), which keys its own draws and
+counts the D' draws above the total anomaly. Only a run of one chunk, whose one
+task runs inline, draws its beta and D' as two tasks, side by side.
 A surface run sorts D0 + D' before it maps it, so each chunk evaluates whole
 pieces of the cubic, and the distribution sorts its excess again only if the
 map breaks its order. Both sorts are ``uq.sort_in_place``, two tasks at large n.
@@ -26,6 +27,7 @@ from functools import partial
 import numpy as np
 
 from .uq import (
+    CHUNK_SIZE,
     EmpiricalDistribution,
     UncertainScalar,
     at_once,
@@ -209,31 +211,31 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
     from n draws of D' (DPRIME_STREAM) and beta (BETA_STREAM), and the fraction
     of D' draws above the total anomaly. Each chunk of one n-array is drawn,
     counted and turned into its product or D0 + D' in place as one task, a
-    linear one's beta, then D', as two (side by side only in a run of one chunk).
+    linear one's beta, then D', in line (a run of one chunk draws these as two tasks).
     D0 + D' is sorted before the map, so each chunk maps whole pieces of rr.
     The distribution made at the end takes the array over and sorts what is
     still out of order: any product array, and an excess that a
     falling or turning surface, draws past the knots, or rounding at a knot
     leave out of order."""
-    out = np.empty(n)  # first: a count too large to allocate fails before any stream is keyed
-    draw_dprime = chunk_sampler(decomp.anthropogenic, seed, DPRIME_STREAM, n)
+    out = np.empty(n)  # first: a count too large to allocate fails before any draw
+    draw_dprime = chunk_sampler(decomp.anthropogenic, seed, DPRIME_STREAM)
     beta, rr = response.beta, response.rr
     if beta is not None:
-        draw_beta = chunk_sampler(beta, seed, BETA_STREAM, n)
+        draw_beta = chunk_sampler(beta, seed, BETA_STREAM)
 
-    def draw(i: int, chunk: np.ndarray) -> int:
+    def draw(i: int, chunk: np.ndarray, both=lambda *draws: [d() for d in draws]) -> int:
         if beta is None:
             draw_dprime(i, chunk)
             above = np.count_nonzero(chunk > decomp.total)
             chunk += decomp.natural
         else:
             betas = np.empty(chunk.size)
-            at_once(partial(draw_beta, i, betas), partial(draw_dprime, i, chunk))
+            both(partial(draw_beta, i, betas), partial(draw_dprime, i, chunk))
             above = np.count_nonzero(chunk > decomp.total)
             chunk *= betas
         return above
 
-    above = sum(map_chunks(draw, out))
+    above = sum(map_chunks(partial(draw, both=at_once) if n <= CHUNK_SIZE else draw, out))
     if beta is None:
         sort_in_place(out)
         rr0 = float(rr(decomp.natural))

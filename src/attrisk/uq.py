@@ -7,9 +7,10 @@ pure function of (seed, label, its index), and distinct labels are independent
 streams: the label is part of the key, not an offset. Every parallel job goes
 through ``at_once(*tasks)``: the caller and one helper thread per further CPU
 take the tasks in turn. ``map_chunks`` runs each chunk's work (draw, then
-finish in place) as one task; the result is bit-identical to doing the chunks
-one after another, and the first n draws do not depend on how many more are
-requested later. A quantity of dispersion 0 is a point mass and draws nothing.
+finish in place) as one task, which keys its own chunk on the thread that
+fills it; the result is bit-identical to doing the chunks one after another,
+and the first n draws do not depend on how many more are requested later. A
+quantity of dispersion 0 is a point mass and draws nothing.
 
 ``EmpiricalDistribution(samples)`` takes over its float64 array without a copy: it
 sorts it in place with ``sort_in_place`` unless it is non-decreasing (a large one as
@@ -44,38 +45,32 @@ POOL_SORT_MIN = 1 << 19
 #: The usable CPUs; CPU affinity is Linux-only, elsewhere it is the CPU count.
 _workers: int = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1)
-#: ``active`` is set on a thread while it runs ``at_once`` tasks.
-_in_task = threading.local()
 
 
 def at_once(*tasks: Callable[[], object]) -> list:
     """``[task() for task in tasks]``: the caller and up to _workers - 1 helper
     threads it starts take the next unstarted task in turn, under the caller's
-    numpy error state; one task, one worker or a call from a task (every worker
-    is busy) runs inline, in order. It joins its helpers before it returns or
-    raises (unless interrupted in the join), so no task still writes into the
-    caller's arrays; after a failure, a helper that cannot start included, no task
-    starts, and the lowest-indexed task's error, else the caller's, is raised."""
-    if len(tasks) < 2 or _workers < 2 or getattr(_in_task, "active", False):
+    numpy error state; one task or one worker runs inline, in order. A call from
+    inside a task starts helpers of its own. It joins its helpers before it
+    returns or raises (unless interrupted in the join), so no task still writes
+    into the caller's arrays; after a failure, a helper that cannot start included,
+    no task starts, and the lowest-indexed task's error, else the caller's, is raised."""
+    if len(tasks) < 2 or _workers < 2:
         return [task() for task in tasks]
     errors, lock = np.geterr(), threading.Lock()
     unstarted = iter(range(len(tasks)))
     results, failed, helpers = [None] * len(tasks), {}, []
 
     def take_turns() -> None:
-        _in_task.active = True
-        try:
-            while True:
-                with lock:
-                    i = None if failed else next(unstarted, None)
-                if i is None:
-                    return
-                try:
-                    results[i] = tasks[i]()
-                except BaseException as exc:
-                    failed[i] = exc
-        finally:
-            _in_task.active = False
+        while True:
+            with lock:
+                i = None if failed else next(unstarted, None)
+            if i is None:
+                return
+            try:
+                results[i] = tasks[i]()
+            except BaseException as exc:
+                failed[i] = exc
 
     try:
         for _ in range(min(_workers, len(tasks)) - 1):
@@ -114,20 +109,16 @@ class UncertainScalar:
             raise ValueError(f"dispersion must be finite and >= 0, got {self.dispersion}")
 
 
-def chunk_sampler(q: UncertainScalar, seed: int, label: int,
-                  n: int) -> Callable[[int, np.ndarray], None]:
-    """``draw(i, chunk)`` fills the i-th chunk of n draws of q in place from the
+def chunk_sampler(q: UncertainScalar, seed: int, label: int) -> Callable[[int, np.ndarray], None]:
+    """``draw(i, chunk)`` fills the i-th chunk of draws of q in place from the
     stream (seed, label): q.value + q.dispersion times the standard normals of
-    Generator(Philox(SeedSequence(seed, spawn_key=(label, i)))). Every chunk is
-    keyed here, on the calling thread, so workers only fill; a point mass keys
-    no generator."""
+    Generator(Philox(SeedSequence(seed, spawn_key=(label, i)))), keyed by draw
+    itself, on the thread that fills the chunk; a point mass keys no generator."""
     if q.dispersion == 0:
         return lambda i, chunk: chunk.fill(q.value)
-    gens = [Generator(Philox(SeedSequence(seed, spawn_key=(label, i))))
-            for i in range(-(-n // CHUNK_SIZE))]
 
     def draw(i: int, chunk: np.ndarray) -> None:
-        gens[i].standard_normal(out=chunk)
+        Generator(Philox(SeedSequence(seed, spawn_key=(label, i)))).standard_normal(out=chunk)
         chunk *= q.dispersion
         chunk += q.value
 

@@ -21,7 +21,7 @@ if os.environ.get("CI"):
 def sample(q, seed, label, n):
     """n draws of q from the stream (seed, label), into a new array."""
     out = np.empty(n)
-    uq.map_chunks(uq.chunk_sampler(q, seed, label, n), out)
+    uq.map_chunks(uq.chunk_sampler(q, seed, label), out)
     return out
 
 

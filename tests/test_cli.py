@@ -4,6 +4,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -178,8 +179,18 @@ class TestAttribute:
         assert out == ""
         assert err.startswith(f"error: --out {out_path}: ")
 
+    def test_out_naming_the_scenario_is_usage_error(self, capsys, tmp_path, no_sampler):
+        path = tmp_path / "syria_2010.yaml"  # a copy: the bundled file is never a target
+        path.write_bytes(Path(SYRIA).read_bytes())
+        out_path = os.path.join(tmp_path, ".", path.name)
+        code, out, err = run(capsys, "report", str(path), "--out", out_path)
+        assert (code, out) == (2, "")
+        assert err == f"error: --out {out_path}: is the scenario file itself\n"
+        assert path.read_bytes() == Path(SYRIA).read_bytes()
+
     def test_out_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
+        out_path.write_text("an earlier, longer report\n" * 1000)
         code, out, _ = run(capsys, "report", SYRIA, "--samples", "2000",
                            "--out", str(out_path))
         assert code == 0
@@ -187,6 +198,29 @@ class TestAttribute:
         doc = json.loads(out_path.read_text())
         assert doc["scenario"] == "syria_2010"
         assert doc["provenance"]["samples"] == 2000
+        assert os.listdir(tmp_path) == ["report.json"]  # no temporary file is left
+
+    def test_out_through_a_symlink_replaces_its_target(self, capsys, tmp_path):
+        target, link = tmp_path / "report.json", tmp_path / "link.json"
+        target.write_text("an earlier report\n")
+        link.symlink_to(target)
+        code, out, _ = run(capsys, "report", SYRIA, "--samples", "2000", "--out", str(link))
+        assert (code, out) == (0, "")
+        assert link.is_symlink() and sorted(os.listdir(tmp_path)) == ["link.json", "report.json"]
+        assert json.loads(target.read_text())["provenance"]["samples"] == 2000
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_out_to_a_fifo_is_written_as_is(self, capsys, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, out, _ = run(capsys, "report", SYRIA, "--samples", "2000", "--out", str(fifo))
+        reader.join(timeout=60)
+        assert (code, out) == (0, "")
+        assert json.loads(got[0])["provenance"]["samples"] == 2000
+        assert os.listdir(tmp_path) == ["fifo"]
 
     def test_seed_change_same_statistics_different_histogram(self, capsys):
         _, base, _ = run(capsys, "report", SYRIA)
@@ -555,6 +589,7 @@ class TestOutputEdge:
         # The child's own limit: Python ignores SIGXFSZ, so the write comes up short.
         pytest.importorskip("resource")
         target = tmp_path / "report.json"
+        target.write_bytes(b"an earlier report\n")
         argv = [*LARGE_REPORT, "--out", str(target)] if to_out else LARGE_REPORT
         with open(tmp_path / "stdout", "wb") as stdout:
             proc = subprocess.run([sys.executable, "-m", "attrisk.cli", *argv],
@@ -564,8 +599,11 @@ class TestOutputEdge:
         assert proc.returncode == 1
         assert re.fullmatch(rf"error: {re.escape(name)}: wrote {FILE_SIZE_LIMIT} of \d+ bytes: "
                             r"File too large\n", proc.stderr), proc.stderr
-        written = target if to_out else tmp_path / "stdout"
-        assert written.stat().st_size == FILE_SIZE_LIMIT
+        if to_out:  # the earlier file is as it was, and no temporary file is left
+            assert target.read_bytes() == b"an earlier report\n"
+            assert sorted(os.listdir(tmp_path)) == ["report.json", "stdout"]
+        else:
+            assert (tmp_path / "stdout").stat().st_size == FILE_SIZE_LIMIT
 
     def test_reader_that_closes_early_is_runtime_error(self):
         with subprocess.Popen([sys.executable, "-m", "attrisk.cli", *LARGE_REPORT],

@@ -567,8 +567,8 @@ class TestPropagationKernel:
         monkeypatch.setattr(uq, "_workers", 2)  # as on 2 CPUs, also where there is 1
         threads, started = [], {BETA_STREAM: threading.Event(), DPRIME_STREAM: threading.Event()}
 
-        def recording(q, seed, label, n):
-            draw = chunk_sampler(q, seed, label, n)
+        def recording(q, seed, label):
+            draw = chunk_sampler(q, seed, label)
 
             def recorded(i, chunk):
                 threads.append((i, label, threading.get_ident()))
@@ -596,6 +596,19 @@ class TestPropagationKernel:
                 assert (beta, dprime) == (BETA_STREAM, DPRIME_STREAM)
                 assert one == other
         # The bytes at each of these sizes: test_pool_matches_serial_reference.
+
+    def test_a_run_of_many_chunks_starts_one_helper(self, monkeypatch):
+        # Three chunk tasks on two workers: no task starts helpers of its own.
+        monkeypatch.setattr(uq, "_workers", 2)
+        starts, start = [], threading.Thread.start
+
+        def counted(thread):
+            starts.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        self.run("linear", 2 * CHUNK_SIZE + 1)
+        assert len(starts) == 1
 
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_exceedance_counts_the_dprime_draws(self, case):

@@ -166,7 +166,7 @@ class TestChunkParallel:
         assert mismatches == []
 
     def test_single_chunk_stays_on_calling_thread(self, two_workers):
-        draw, threads = uq.chunk_sampler(NORMAL, SEED, 1, CHUNK_SIZE), []
+        draw, threads = uq.chunk_sampler(NORMAL, SEED, 1), []
 
         def work(i, chunk):
             threads.append(threading.get_ident())
@@ -176,6 +176,29 @@ class TestChunkParallel:
         uq.map_chunks(work, out)
         assert threads == [threading.get_ident()]
         assert np.array_equal(out, serial_chunks(SEED, 1, CHUNK_SIZE))
+
+    def test_each_chunk_is_keyed_on_the_thread_that_fills_it(self, monkeypatch, two_workers):
+        keyed, filled, key = {}, {}, uq.SeedSequence
+
+        def recorded(seed, *, spawn_key):
+            keyed[spawn_key] = threading.get_ident()
+            return key(seed, spawn_key=spawn_key)
+
+        monkeypatch.setattr(uq, "SeedSequence", recorded)
+        draw = uq.chunk_sampler(NORMAL, SEED, 1)
+        assert keyed == {}  # no chunk is keyed before it is filled
+        meet = threading.Barrier(2, timeout=30)
+
+        def work(i, chunk):
+            filled[(1, i)] = threading.get_ident()
+            if i < 2:  # chunks 0 and 1 wait for each other: one fills on the helper
+                meet.wait()
+            draw(i, chunk)
+
+        out = np.empty(3 * CHUNK_SIZE)
+        uq.map_chunks(work, out)
+        assert keyed == filled and len(set(filled.values())) == 2
+        assert np.array_equal(out, serial_chunks(SEED, 1, out.size))
 
     @pytest.mark.parametrize("n", SIZES[1:])
     def test_chunks_run_under_the_callers_error_state(self, n):
@@ -218,7 +241,7 @@ class TestChunkParallel:
             "from attrisk import uq\n"
             "assert uq._workers == (os.cpu_count() or 1)\n"
             "x = np.empty(%d)\n"
-            "uq.map_chunks(uq.chunk_sampler(uq.UncertainScalar(0.0, 1.0), 7, 2, x.size), x)\n"
+            "uq.map_chunks(uq.chunk_sampler(uq.UncertainScalar(0.0, 1.0), 7, 2), x)\n"
             "sys.stdout.buffer.write(x.tobytes())\n" % n)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == sample(NORMAL, 7, 2, n).tobytes()
@@ -263,13 +286,16 @@ def pooled_sort(monkeypatch, two_workers):
     monkeypatch.setattr(uq, "POOL_SORT_MIN", 2)
 
 
-def sort_threads(values):
-    """sort_in_place on a copy of values: the threads its sorts ran on, and the result."""
+def sort_threads(values, meet=None):
+    """sort_in_place on a copy of values: the threads its sorts ran on, and the
+    result. Each sort first waits at the barrier meet, if one is given."""
     threads = []
 
     class Recording(np.ndarray):
         def sort(self, *args, **kwargs):
             threads.append(threading.get_ident())
+            if meet:
+                meet.wait()
             np.ndarray.sort(self, *args, **kwargs)
 
     a = np.array(values, dtype=float).view(Recording)
@@ -330,14 +356,15 @@ class TestSortInPlace:
         assert result.tobytes() == np.sort(values).tobytes()
 
     def test_two_workers_sort_the_halves_as_two_tasks(self, pooled_sort):
+        # The two sorts wait for each other, so neither thread can sort both halves.
         values = self.SHAPES["normal"]
-        threads, result = sort_threads(values)
+        threads, result = sort_threads(values, threading.Barrier(2, timeout=30))
         assert len(threads) == 2 and threading.get_ident() in threads
         assert result.tobytes() == np.sort(values).tobytes()
 
     def test_call_from_pool_work_finishes(self):
-        # Every worker sorts inside map_chunks work: the nested calls run
-        # inline, so none waits on the others.
+        # Every worker sorts inside map_chunks work: each nested call starts
+        # a helper of its own, and all of them finish.
         proc = _run_child(
             "import numpy as np\n"
             "from attrisk import uq\n"
@@ -518,20 +545,6 @@ class TestAtOnce:
 
     def test_one_task_runs_inline(self, two_workers):
         assert uq.at_once(threading.get_ident) == [threading.get_ident()]
-
-    def test_call_from_a_task_runs_inline_in_order(self, two_workers):
-        task, order = handshake(), []
-
-        def nested(me):
-            return uq.at_once(*(partial(lambda k: order.append((me, k, threading.get_ident())), k)
-                                for k in range(3)))
-
-        results = uq.at_once(task(0, partial(nested, 0)), task(1, partial(nested, 1)))
-        # The caller and the outer call's one helper: the nested calls start none.
-        threads = {thread for _, thread, _ in results}
-        assert len(threads | {t for *_, t in order}) == 2 and threading.get_ident() in threads
-        for me, thread, _ in results:
-            assert [(k, t) for m, k, t in order if m == me] == [(k, thread) for k in range(3)]
 
 
 class TestEmpiricalDistribution:
