@@ -16,6 +16,7 @@ All report output goes to stdout (or --out); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -242,5 +243,13 @@ def main(argv=None) -> int:
         return 2 if isinstance(exc, ScenarioError) else 1
 
 
+def run():
+    """The program: main(), then exit without the collector walking the heap
+    that the finalization's collections would otherwise visit."""
+    code = main()
+    gc.freeze()  # the report is written; no object here needs collecting
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

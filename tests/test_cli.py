@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -518,6 +519,66 @@ class TestColdStart:
              "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'logging'))))"],
             env=fresh_env(), capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+#: Runs the program path sys.argv[1] on sys.argv[2:]: "run" as the console
+#: script does, "-m" as ``python -m attrisk.cli`` does. An atexit hook,
+#: registered first and so run last, states whether the heap was frozen.
+PROGRAM = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0, file=sys.stderr))
+path = sys.argv.pop(1)
+if path == "run":
+    from attrisk.cli import run
+    run()
+else:
+    runpy.run_module("attrisk.cli", run_name="__main__")
+"""
+
+SMALL_REPORT = ["report", SYRIA, "--format", "json", "--samples", "20000"]
+#: A success and a refusal: (argv, exit code).
+PROGRAM_RUNS = {"report": (SMALL_REPORT, 0),
+                "missing-file": (["report", "no-such-scenario.yaml"], 2)}
+
+
+class TestProgram:
+    """The program, the console script or ``python -m attrisk.cli``, freezes
+    the heap once its command returns; ``main(argv)`` leaves the collector alone."""
+
+    @pytest.mark.parametrize("path", ["run", "-m"])
+    @pytest.mark.parametrize("argv, code", PROGRAM_RUNS.values(), ids=PROGRAM_RUNS)
+    def test_program_exits_with_main_code_on_a_frozen_heap(self, path, argv, code):
+        proc = subprocess.run([sys.executable, "-c", PROGRAM, path, *argv], env=fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        *errors, frozen = proc.stderr.splitlines()
+        assert (proc.returncode, frozen) == (code, "frozen: True"), proc.stderr
+        if code:
+            assert proc.stdout == ""
+            [line] = errors
+            assert line.startswith("error: ") and "no-such-scenario.yaml" in line
+        else:
+            assert errors == [] and json.loads(proc.stdout)["scenario"] == "syria_2010"
+
+    def test_module_prints_the_bytes_main_writes(self, tmp_path):
+        proc = subprocess.run([sys.executable, "-m", "attrisk.cli", *SMALL_REPORT],
+                              env=fresh_env(), capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        out = tmp_path / "report.json"
+        assert main([*SMALL_REPORT, "--out", str(out)]) == 0
+        assert proc.stdout == out.read_bytes()
+
+    @pytest.mark.parametrize("argv, code", PROGRAM_RUNS.values(), ids=PROGRAM_RUNS)
+    def test_main_leaves_the_collector_alone(self, capsys, argv, code):
+        before = gc.get_freeze_count()
+        assert main(argv) == code
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"attrisk": "attrisk.cli:run"}
 
 
 #: Configs whose results leave the float range: a product beyond 1.8e308, and
