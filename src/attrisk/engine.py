@@ -3,19 +3,19 @@
 Splits a climate anomaly into natural and anthropogenic components, maps each
 through a dose response (a linear coefficient ``beta``, or the monotone cubic
 ``rr`` through a relative-risk table of ``knots``; the kind follows from which
-of the two is given), and propagates input uncertainty into a full
-distribution of the anthropogenic excess risk. Each question is one call on
-(response, decomposition), for either kind: ``integral_attribution`` gives the
-point estimates and ``propagate`` the distribution. Excess risk is carried in
-percent; the relative-risk multiplier is dimensionless. An input of dispersion
-0 is a point mass. ``propagate`` turns each Philox chunk of one n-array into
-its excess risk in place as one ``uq.at_once`` task (the caller and one helper
-thread per further CPU take the tasks in turn), which keys its own draws and
-counts the D' draws above the total anomaly. Only a run of one chunk, whose one
-task runs inline, draws its beta and D' as two tasks, side by side.
-A surface run sorts D0 + D' before it maps it, so each chunk evaluates whole
-pieces of the cubic, and the distribution sorts its excess again only if the
-map breaks its order. Both sorts are ``uq.sort_in_place``, two tasks at large n.
+is given), and propagates input uncertainty into a distribution of the
+anthropogenic excess risk, in percent. An input of dispersion 0 is a point
+mass. Every response is read as X = s·g(D'), a normal multiplier times a
+function of the one normal input: linear is s = beta, g(D') = D'; a surface is
+s = 1 (a point mass) and g(D') = 100 * (rr(D0 + D') - rr(D0)).
+``integral_attribution`` gives the point estimates and ``propagate`` the
+distribution. ``propagate`` turns each Philox chunk of one n-array into s * D'
+in place as one ``uq.at_once`` task (the caller and one helper thread per
+further CPU take the tasks in turn), which keys its own draws and counts the
+D' draws above the total. Only a run of one chunk, whose task runs inline,
+draws s, if drawn, and D' as two tasks, side by side. A surface then sorts D'
+and adds D0 as it maps each chunk through whole pieces of the cubic; the
+distribution sorts again only what the map leaves out of order.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from .uq import (
 # Stream labels deriving the two independent input streams from one seed.
 BETA_STREAM = 1
 DPRIME_STREAM = 2
+
+_UNIT = UncertainScalar(1.0)  # a surface's s: a point mass, which keys no generator
 
 
 class SignConventionError(ValueError):
@@ -180,67 +182,64 @@ class RiskAttribution:
 
 
 def integral_attribution(response: DoseResponse, decomp: AnomalyDecomposition) -> RiskAttribution:
-    """Excess risk as the integral of the dose-response slope over [0, D0] and
-    [D0, D0+D']: beta * D0 and beta * D' for a linear response (a negative D0
-    is allowed), and for a surface the differences of rr itself, rr(D0) - rr(0)
-    and rr(D0+D') - rr(D0), where D0 >= 0 and D0+D' is at most the last knot.
+    """Excess risk as s times g's rise over [0, D0] and [D0, D0+D']: beta * D0
+    and beta * D' for a linear response (a negative D0 is allowed), and for a
+    surface 100 times rr(D0) - rr(0) and rr(D0+D') - rr(D0), where D0 >= 0 and
+    D0+D' is at most the last knot.
     """
-    if response.beta is not None:
-        natural = response.beta.value * decomp.natural
-        anthropogenic = response.beta.value * decomp.anthropogenic.value
-    else:
-        d0 = decomp.natural
-        d_total = decomp.natural + decomp.anthropogenic.value
+    natural, anthropogenic = decomp.natural, decomp.anthropogenic.value
+    if response.rr is not None:
+        d_total = natural + anthropogenic
         last = response.knots[-1][0]
-        if d0 < 0:
-            raise DomainCoverageError(f"natural component {d0} is below the surface domain")
+        if natural < 0:
+            raise DomainCoverageError(f"natural component {natural} is below the surface domain")
         if d_total > last:
             raise DomainCoverageError(
                 f"anomaly {d_total} exceeds the last surface knot at D={last}")
-        # rr(0) is 1.0 exactly: the first piece at s = 0 is its constant term, the
-        # knot (0, 1), and DoseResponse refuses non-finite coefficients.
-        rr_d0, rr_total = response.rr(np.array([d0, d_total])).tolist()
-        natural = 100.0 * (rr_d0 - 1.0)
-        anthropogenic = 100.0 * (rr_total - rr_d0)
+        # rr(0) is 1.0 exactly: the first piece at offset 0 is its constant term,
+        # the knot (0, 1), and DoseResponse refuses non-finite coefficients.
+        rr_d0, rr_total = response.rr(np.array([natural, d_total])).tolist()
+        natural, anthropogenic = 100.0 * (rr_d0 - 1.0), 100.0 * (rr_total - rr_d0)
+    s = (response.beta or _UNIT).value  # a surface's 1.0 * x is x, bit for bit
+    natural, anthropogenic = s * natural, s * anthropogenic
     return RiskAttribution(natural, anthropogenic, 1.0 + (natural + anthropogenic) / 100.0)
 
 
 def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
               n: int) -> tuple[EmpiricalDistribution, float]:
-    """The anthropogenic excess risk, beta_i * D'_i or 100 * (rr(D0 + D'_i) - rr(D0))
-    from n draws of D' (DPRIME_STREAM) and beta (BETA_STREAM), and the fraction
-    of D' draws above the total anomaly. Each chunk of one n-array is drawn,
-    counted and turned into its product or D0 + D' in place as one task, a
-    linear one's beta, then D', in line (a run of one chunk draws these as two tasks).
-    D0 + D' is sorted before the map, so each chunk maps whole pieces of rr.
-    The distribution made at the end takes the array over and sorts what is
-    still out of order: any product array, and an excess that a
-    falling or turning surface, draws past the knots, or rounding at a knot
-    leave out of order."""
+    """The anthropogenic excess risk s_i * g(D'_i) from n draws of D'
+    (DPRIME_STREAM) and s (BETA_STREAM), and the fraction of D' draws above
+    the total anomaly. Each chunk of one n-array is drawn, counted and
+    multiplied by s in place as one task: a drawn s into scratch, then D', in
+    line (a run of one chunk draws these as two tasks), a point mass as its
+    value. A surface's D' is then sorted and each chunk mapped in place, D0
+    added first (sort(D') + D0 has sort(D0 + D')'s bits), through whole pieces
+    of rr. The distribution takes the array over and sorts what is still out
+    of order: any product array, and an excess that a falling or turning
+    surface, draws past the knots, or rounding at a knot leave out of order."""
     out = np.empty(n)  # first: a count too large to allocate fails before any draw
     draw_dprime = chunk_sampler(decomp.anthropogenic, seed, DPRIME_STREAM)
-    beta, rr = response.beta, response.rr
-    if beta is not None:
-        draw_beta = chunk_sampler(beta, seed, BETA_STREAM)
+    s, rr = response.beta or _UNIT, response.rr
+    draw_s = chunk_sampler(s, seed, BETA_STREAM)
 
     def draw(i: int, chunk: np.ndarray, both=lambda *draws: [d() for d in draws]) -> int:
-        if beta is None:
-            draw_dprime(i, chunk)
-            above = np.count_nonzero(chunk > decomp.total)
-            chunk += decomp.natural
+        if s.dispersion:
+            s_i = np.empty(chunk.size)
+            both(partial(draw_s, i, s_i), partial(draw_dprime, i, chunk))
         else:
-            betas = np.empty(chunk.size)
-            both(partial(draw_beta, i, betas), partial(draw_dprime, i, chunk))
-            above = np.count_nonzero(chunk > decomp.total)
-            chunk *= betas
+            s_i = s.value
+            draw_dprime(i, chunk)
+        above = np.count_nonzero(chunk > decomp.total)
+        chunk *= s_i
         return above
 
     above = sum(map_chunks(partial(draw, both=at_once) if n <= CHUNK_SIZE else draw, out))
-    if beta is None:
+    if rr is not None:
         sort_in_place(out)
         rr0 = float(rr(decomp.natural))
 
         def excess(i: int, chunk: np.ndarray) -> None:
+            chunk += decomp.natural
             # Mapped in halves, map_sorted's scratch is one chunk per thread.
             half = -(-chunk.size // 2)
             rr.map_sorted(chunk[:half])

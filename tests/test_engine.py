@@ -21,7 +21,7 @@ from attrisk.engine import (
     Pchip,
     propagate,
 )
-from attrisk.uq import CHUNK_SIZE, UncertainScalar, chunk_sampler
+from attrisk.uq import CHUNK_SIZE, POOL_SORT_MIN, UncertainScalar, chunk_sampler
 from conftest import sample
 
 SEED = 20150302
@@ -439,9 +439,13 @@ class TestPropagationKernel:
         response, dprime = KERNEL_CASES[case]
         return propagate(response, decompose_anomaly(KERNEL_TOTAL, dprime), SEED, n)
 
-    @pytest.mark.parametrize("n", KERNEL_SIZES)
-    @pytest.mark.parametrize("case", KERNEL_CASES)
-    def test_pool_matches_serial_reference(self, case, n):
+    # A surface run of POOL_SORT_MIN + 17 sorts its D' as two tasks before the map.
+    @pytest.mark.parametrize("case, n", [
+        (case, n) for case in KERNEL_CASES
+        for n in KERNEL_SIZES + [POOL_SORT_MIN + 17] * case.startswith("surface")])
+    def test_pool_matches_serial_reference(self, case, n, monkeypatch):
+        if n >= POOL_SORT_MIN:
+            monkeypatch.setattr(uq, "_workers", 2)  # the pooled sort, also on one CPU
         dist, above = self.run(case, n)
         expected, expected_above = serial_propagation(*KERNEL_CASES[case], n)
         assert np.array_equal(dist.samples, expected)
@@ -500,7 +504,7 @@ class TestPropagationKernel:
     @pytest.fixture
     def sorts(self, monkeypatch):
         """Per run: the size of each array the distribution sorts (the surface
-        path's sort of D0 + D' before the map is not counted)."""
+        path's sort of D' before the map is not counted)."""
         sizes = []
 
         def recorded(a):
@@ -597,18 +601,46 @@ class TestPropagationKernel:
                 assert one == other
         # The bytes at each of these sizes: test_pool_matches_serial_reference.
 
-    def test_a_run_of_many_chunks_starts_one_helper(self, monkeypatch):
-        # Three chunk tasks on two workers: no task starts helpers of its own.
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """Per run on two workers: each thread started."""
         monkeypatch.setattr(uq, "_workers", 2)
-        starts, start = [], threading.Thread.start
+        started, start = [], threading.Thread.start
 
         def counted(thread):
-            starts.append(thread)
+            started.append(thread)
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counted)
+        return started
+
+    def test_a_run_of_many_chunks_starts_one_helper(self, starts):
+        # Three chunk tasks on two workers: no task starts helpers of its own.
         self.run("linear", 2 * CHUNK_SIZE + 1)
         assert len(starts) == 1
+
+    @pytest.mark.parametrize("n", [2, CHUNK_SIZE])
+    @pytest.mark.parametrize("case, helpers", [
+        ("linear", 1), ("linear-point-beta", 0), ("surface", 0)])
+    def test_a_one_chunk_run_starts_a_helper_only_when_both_streams_are_drawn(
+            self, case, helpers, n, starts):
+        self.run(case, n)
+        assert len(starts) == helpers
+
+    @pytest.mark.parametrize("total, dprime", [
+        (2.0, 1.2), (2.0, 2.0), (2.0, -0.0), (0.0, 0.0), (1.0, -0.5)])
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_point_inputs_give_the_point_estimate(self, case, total, dprime):
+        """The point and the MC paths are one s·g: with beta and D' point
+        masses, every sample is the point estimate, bit for bit (a signed zero
+        included)."""
+        response = KERNEL_CASES[case][0]
+        if response.beta is not None:
+            response = DoseResponse(beta=UncertainScalar(response.beta.value))
+        decomp = decompose_anomaly(total, UncertainScalar(dprime))
+        point = integral_attribution(response, decomp).anthropogenic_excess
+        dist, _ = propagate(response, decomp, SEED, 17)
+        assert dist.samples.tobytes() == np.full(17, point).tobytes()
 
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_exceedance_counts_the_dprime_draws(self, case):
