@@ -25,7 +25,6 @@ from .scenario import (  # noqa: E402,F401
     ReportBundle,
     ScenarioConfig,
     ScenarioError,
-    ScenarioRuntimeError,
     emit_report,
     load_scenario,
     parse_scenario,

@@ -36,6 +36,10 @@ FLAG_FIELDS = {"--seed": "mc.seed", "--samples": "mc.samples",
                "--beta": "dose_response.value", "--beta-sd": "dose_response.dispersion",
                "--dprime": "anthropogenic.value", "--dprime-sd": "anthropogenic.dispersion"}
 
+# Each line boundary of str.splitlines, as repr escapes it: an error is one line
+# on stderr, whatever a name or a key in its message holds.
+_ONE_LINE = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
 
 def _read(name: str, raw: str):
     """raw (from argv or the environment) read as one YAML value by the scenario
@@ -239,7 +243,7 @@ def main(argv=None) -> int:
         print("error: interrupted", file=sys.stderr)
         return 130
     except Exception as exc:  # usage/config error (2) or runtime failure (1)
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return 2 if isinstance(exc, ScenarioError) else 1
 
 

@@ -43,14 +43,6 @@ DPRIME_STREAM = 2
 _UNIT = UncertainScalar(1.0)  # a surface's s: a point mass, which keys no generator
 
 
-class SignConventionError(ValueError):
-    """Anomaly magnitudes are positive-adverse; negative totals are rejected."""
-
-
-class DomainCoverageError(ValueError):
-    """The response surface does not cover the requested anomaly range."""
-
-
 @dataclass(frozen=True)
 class AnomalyDecomposition:
     """An anomaly (sigma units) split into natural and anthropogenic parts."""
@@ -70,8 +62,7 @@ def decompose_anomaly(total: float, anthropogenic: UncertainScalar) -> AnomalyDe
     if not math.isfinite(total):
         raise ValueError("total anomaly must be finite")
     if total < 0:
-        raise SignConventionError(
-            f"total anomaly must be >= 0 (positive = adverse), got {total}")
+        raise ValueError(f"total anomaly must be >= 0 (positive = adverse), got {total}")
     return AnomalyDecomposition(total, anthropogenic, total - anthropogenic.value)
 
 
@@ -192,10 +183,9 @@ def integral_attribution(response: DoseResponse, decomp: AnomalyDecomposition) -
         d_total = natural + anthropogenic
         last = response.knots[-1][0]
         if natural < 0:
-            raise DomainCoverageError(f"natural component {natural} is below the surface domain")
+            raise ValueError(f"natural component {natural} is below the surface domain")
         if d_total > last:
-            raise DomainCoverageError(
-                f"anomaly {d_total} exceeds the last surface knot at D={last}")
+            raise ValueError(f"anomaly {d_total} exceeds the last surface knot at D={last}")
         # rr(0) is 1.0 exactly: the first piece at offset 0 is its constant term,
         # the knot (0, 1), and DoseResponse refuses non-finite coefficients.
         rr_d0, rr_total = response.rr(np.array([natural, d_total])).tolist()

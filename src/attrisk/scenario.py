@@ -56,14 +56,15 @@ EXCEEDANCE_FLAG_FRACTION = 0.01
 # 3.11); counts must fit in physical memory.
 _SAMPLE_BYTES, _BIN_BYTES = 8, 1024
 
-_INT, _FLOAT = "tag:yaml.org,2002:int", "tag:yaml.org,2002:float"
+_INT, _FLOAT, _MERGE = (f"tag:yaml.org,2002:{t}" for t in ("int", "float", "merge"))
 
 
 def _core_schema_loader(base):
     """base, reading numbers by the YAML 1.2 core schema (YAML 1.2.2 §10.3.2)
     with decimal integers only: 010 is ten and 1e-3 a float, while 0x10, 1_000
     and 1:30 are strings. Bools, nulls, timestamps and merge keys resolve as
-    in base, after the number rules."""
+    in base, after the number rules. A key repeated in a mapping is refused, as
+    YAML 1.2 requires (§3.2.1.1), where base keeps the last one."""
     numbers = [(_INT, re.compile(r"[-+]?[0-9]+$")),
                (_FLOAT, re.compile(r"[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"
                                    r"|[-+]?\.(?:inf|Inf|INF)$|\.(?:nan|NaN|NAN)$"))]
@@ -74,6 +75,18 @@ def _core_schema_loader(base):
 
     class Loader(base):
         yaml_implicit_resolvers = resolvers
+
+        def construct_mapping(self, node, deep=False):
+            # Only the scalar keys written here: a key merged in with << may
+            # still be overridden, and any other key is refused as unhashable.
+            keys = set()
+            for key_node, _ in node.value:
+                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE:
+                    if (key := self.construct_object(key_node)) in keys:
+                        raise yaml.constructor.ConstructorError(
+                            None, None, f"found duplicate key {key!r}", key_node.start_mark)
+                    keys.add(key)
+            return super().construct_mapping(node, deep)
 
     Loader.add_constructor(_INT, lambda loader, node: int(loader.construct_scalar(node), 10))
     return Loader
@@ -87,25 +100,14 @@ YAML_LOADER = _core_schema_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 class ScenarioError(ValueError):
-    """Configuration error, or a run the configuration cannot support (e.g. a
-    surface that does not cover the anomaly), carrying the offending field path."""
+    """An input refused: a file or configuration error, or a run the
+    configuration cannot support (e.g. a surface that does not cover the
+    anomaly), carrying the offending field path. A run that fails otherwise
+    raises RuntimeError, its cause chained."""
 
     def __init__(self, message: str, field: str = ""):
         super().__init__(message)
         self.field = field
-
-
-class ScenarioRuntimeError(RuntimeError):
-    """A scenario failed while running (not a configuration error); the
-    original exception is its ``__cause__``."""
-
-
-class UnknownKeyError(ScenarioError):
-    pass
-
-
-class ParseError(ScenarioError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,7 @@ def _check_keys(mapping: dict, allowed: set[str], path: str):
     if unknown:
         name = sorted(unknown)[0]
         where = f"{path}.{name}" if path else name
-        raise UnknownKeyError(f"unknown key: {where}", where)
+        raise ScenarioError(f"unknown key: {where}", where)
 
 
 def _finite(v, path) -> float:
@@ -318,25 +320,29 @@ def apply_overrides(data: dict, overrides: dict[str, object]) -> dict:
                 nxt = {}
                 node[part] = nxt
             if not isinstance(nxt, dict):
-                raise UnknownKeyError(f"override path not a mapping: {dotted}", dotted)
+                raise ScenarioError(f"override path not a mapping: {dotted}", dotted)
             node = nxt
         node[parts[-1]] = value
     return data
 
 
-def _error_location(text: str, exc: Exception) -> str:
-    """" at line L, column C" (1-based) where the YAML error exc arose in text,
-    or "" for an error with no place, such as a constructor's ValueError."""
-    mark = getattr(exc, "problem_mark", None)
+def _parse_error(text: str, exc: Exception) -> str:
+    """"parse error at line L, column C: what" (1-based) for the YAML error exc
+    in text, naming the place once, where PyYAML's own text adds a line for
+    each place; "parse error: what" for an error with no place, such as a
+    constructor's ValueError."""
+    mark, what = getattr(exc, "problem_mark", None), str(exc).partition("\n")[0]
+    if isinstance(exc, yaml.MarkedYAMLError):
+        what = ", ".join(filter(None, [exc.context, exc.problem, exc.note]))
     if mark:
-        return f" at line {mark.line + 1}, column {mark.column + 1}"
+        return f"parse error at line {mark.line + 1}, column {mark.column + 1}: {what}"
     if not isinstance(exc, yaml.reader.ReaderError):
-        return ""
+        return f"parse error: {what}"
     # A reader error has no mark, but both readers name the code point they
     # refused and stop at its first occurrence.
     head = text[:text.index(chr(exc.character))]
     lines = re.split("\r\n|[\r\n\x85\u2028\u2029]", head)
-    return f" at line {len(lines)}, column {len(lines[-1]) + 1}"
+    return f"parse error at line {len(lines)}, column {len(lines[-1]) + 1}: {what}"
 
 
 def load_scenario(path, overrides: dict[str, object] | None = None,
@@ -344,18 +350,18 @@ def load_scenario(path, overrides: dict[str, object] | None = None,
     """Load (with ``YAML_LOADER``: PyYAML's ``CSafeLoader`` where installed,
     else ``SafeLoader``), override, and strictly validate a scenario file."""
     if not os.path.isfile(path):  # a device or a FIFO would be read as a document
-        raise ParseError(f"file not found: {path}")
+        raise ScenarioError(f"file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from exc
     except OSError as exc:
-        raise ParseError(f"{path}: not readable: {exc.strerror}") from exc
+        raise ScenarioError(f"{path}: not readable: {exc.strerror}") from exc
     try:
         data = yaml.load(text, Loader=YAML_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date such as 2010-13-45
-        raise ParseError(f"{path}: parse error{_error_location(text, exc)}: {exc}") from exc
+        raise ScenarioError(f"{path}: {_parse_error(text, exc)}") from exc
     if overrides:
         data = apply_overrides(_require_mapping(data, "scenario"), overrides)
     return parse_scenario(data, default_seed=default_seed)
@@ -417,10 +423,10 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
             quantiles=quantile_rows, histogram=hist, provenance=provenance,
             distribution=dist,
         )
-    except ValueError as exc:  # e.g. DomainCoverageError: the config asks the impossible
+    except ValueError as exc:  # e.g. an uncovered anomaly: the config asks the impossible
         raise ScenarioError(f"scenario '{cfg.name}': {exc}") from exc
     except Exception as exc:  # e.g. MemoryError
-        raise ScenarioRuntimeError(f"scenario '{cfg.name}': {exc}") from exc
+        raise RuntimeError(f"scenario '{cfg.name}': {exc}") from exc
 
 
 # json's text for the floats whose repr is no JSON number.

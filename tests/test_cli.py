@@ -251,6 +251,15 @@ CLI_REFUSALS = {
     "anomaly-beyond-surface": ([SURFACE_SET, "anomaly_total=6"],
                                "scenario 'syria_2010': anomaly 6.0 exceeds "
                                "the last surface knot at D=5.0"),
+    # A line break in a name or a key is written escaped, as repr writes it.
+    "line-break-in-name": ([SURFACE_SET, 'name="x\\ny"', "anomaly_total=6"],
+                           "scenario 'x\\ny': anomaly 6.0 exceeds the last surface knot at D=5.0"),
+    "line-breaks-in-name": ([SURFACE_SET, 'name="x\\r\\n\\u2028\\x85y"', "anomaly_total=6"],
+                            "scenario 'x\\r\\n\\u2028\\x85y': anomaly 6.0 exceeds "
+                            "the last surface knot at D=5.0"),
+    "line-break-in-key": (["bo\ngus=1"], "unknown key: bo\\ngus"),
+    "repeated-key": (["mc={samples: 100, samples: 200}"],
+                     "--set mc: not a YAML value: '{samples: 100, samples: 200}'"),
 }
 
 
@@ -261,6 +270,26 @@ def test_refusal_is_one_error_line(capsys, sets, message):
         argv += ["--set", pair]
     # Under the suite's warnings-as-errors an unexpected warning would exit 1.
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+#: Scenario files refused as one line: (text, where, what). PyYAML's pure
+#: loader words some problems otherwise; both say what and where once.
+FILE_REFUSALS = {
+    "unclosed-flow": ("name: x\nyear: [1\n", "line 3, column 1", "expected ',' or ']'"),
+    "control-character": ("name: x\x07\n", "line 1, column 8", "unacceptable character #x0007: "),
+    "repeated-key": ("name: x\nyear: 2010\nname: y\n", "line 3, column 1",
+                     "found duplicate key 'name'"),
+}
+
+
+@pytest.mark.parametrize("text, where, what", FILE_REFUSALS.values(), ids=FILE_REFUSALS)
+def test_file_refusal_is_one_error_line(capsys, tmp_path, text, where, what):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "attribute", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: parse error at {where}: ")
+    assert what in err and err.count("\n") == 1 and "<unicode string>" not in err, err
 
 
 class TestSeedPrecedence:

@@ -20,7 +20,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 import attrisk
 from attrisk import cli, engine
@@ -181,6 +181,9 @@ COMMANDS = {
     "selftest": joined(required("--samples", SAMPLES), option("--seed", SEEDS), SETS),
 }
 COMMANDS["report"] = COMMANDS["attribute"]
+#: (command, argv after it and the scenario path).
+CALLS = st.sampled_from(sorted(COMMANDS)).flatmap(
+    lambda command: COMMANDS[command].map(lambda flags: (command, flags)))
 
 
 def run(argv, seed_variable):
@@ -196,13 +199,14 @@ def run(argv, seed_variable):
     return code, out.getvalue(), err.getvalue()
 
 
+# A line break in the name once made a two-line refusal.
+@example(call=("attribute", ["--set=anomaly_total=0"]),
+         scenario=(json.dumps({**SURFACE, "name": "\n"}), None), seed_variable=None)
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(command=st.sampled_from(sorted(COMMANDS)), data=st.data(),
-       seed_variable=st.none() | SEEDS)
-def test_cli_contract(tmp_path, command, data, seed_variable):
-    text, unknown = data.draw(scenario_texts())
-    flags = data.draw(COMMANDS[command])
+@given(call=CALLS, scenario=scenario_texts(), seed_variable=st.none() | SEEDS)
+def test_cli_contract(tmp_path, call, scenario, seed_variable):
+    (command, flags), (text, unknown) = call, scenario
     path = tmp_path / "scenario.yaml"
     path.write_text(text, encoding="utf-8")
     argv = [command, *([str(path)] if command in ("attribute", "report") else []), *flags]

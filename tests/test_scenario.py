@@ -23,11 +23,8 @@ from attrisk.scenario import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     YAML_LOADER,
-    ParseError,
     ReportBundle,
     ScenarioError,
-    ScenarioRuntimeError,
-    UnknownKeyError,
     emit_report,
     load_scenario,
     parse_scenario,
@@ -114,7 +111,7 @@ class TestLoading:
 
     def test_device_is_not_a_scenario_file(self):
         # Read as a document, /dev/null would be an empty one and /dev/zero endless.
-        with pytest.raises(ParseError, match=f"^file not found: {re.escape(os.devnull)}$"):
+        with pytest.raises(ScenarioError, match=f"^file not found: {re.escape(os.devnull)}$"):
             load_scenario(os.devnull)
 
     def test_defaults_fill_when_blocks_omitted(self):
@@ -131,24 +128,24 @@ class TestLoading:
         assert "report.quantiles" in str(exc.value)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(UnknownKeyError) as exc:
+        with pytest.raises(ScenarioError) as exc:
             parse_scenario(minimal(anomaly_totl=2.48))
         assert "anomaly_totl" in str(exc.value)
 
     def test_unknown_nested_key_rejected(self):
-        with pytest.raises(UnknownKeyError) as exc:
+        with pytest.raises(ScenarioError) as exc:
             parse_scenario(minimal(mc={"sede": 7}))
         assert "mc.sede" in str(exc.value)
 
     def test_directory_is_parse_error(self, tmp_path):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ScenarioError) as exc:
             load_scenario(tmp_path)
         assert str(tmp_path) in str(exc.value)
 
     def test_non_utf8_is_parse_error(self, tmp_path):
         bad = tmp_path / "latin1.yaml"
         bad.write_bytes("name: S\xe3o Paulo\n".encode("latin-1"))
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ScenarioError) as exc:
             load_scenario(bad)
         assert str(bad) in str(exc.value)
 
@@ -323,16 +320,58 @@ class TestYamlLoader:
         path.write_text(NON_BMP_YAML, encoding="utf-8")
         assert load_scenario(path).name == "\U0001F30D syria"
 
+    # An explicit key overrides a merged one: test_merge_key_and_non_bmp_name.
+    @pytest.mark.parametrize("text, data", [
+        ("a: &a {x: 1}\nb: &b {<<: *a, x: 2}\nc: {<<: *b, y: 3}\n", {"x": 2, "y": 3}),
+        ("a: &a {x: 1}\nb: &b {x: 2}\nc: {<<: [*a, *b]}\n", {"x": 1}),
+    ], ids=["chained", "two-sources"])
+    def test_merged_keys_keep_their_override_rule(self, loader, text, data):
+        assert yaml.load(text, Loader=loader) == yaml.load(text, Loader=yaml.SafeLoader)
+        assert list(yaml.load(text, Loader=loader).values())[-1] == data
+
+    @pytest.mark.parametrize("text, where, key", [
+        ("name: x\nname: y\n", "line 2, column 1", "'name'"),
+        ('mc: {samples: 100, "samples": 200}\n', "line 1, column 20", "'samples'"),
+        ("a: 1\n01: 2\n1: 3\n", "line 3, column 1", "1"),
+        # An alias is the node it names, so the place is that node's.
+        ("&k a: 1\n*k : 2\n", "line 1, column 1", "'a'"),
+    ], ids=["block", "flow-quoted", "same-number", "alias"])
+    def test_repeated_key_is_refused_where_it_repeats(self, loader, tmp_path, text, where, key):
+        # YAML 1.2 (§3.2.1.1) requires unique keys, where PyYAML keeps the last.
+        path = tmp_path / "twice.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == f"{path}: parse error at {where}: found duplicate key {key}"
+
+    def test_repeated_block_is_refused_in_a_file_and_a_set_value(self, loader, tmp_path):
+        path = tmp_path / "twice.yaml"
+        text = SYRIA.read_text(encoding="utf-8")
+        path.write_text(text + "dose_response: {kind: linear, value: 11.33}\n", encoding="utf-8")
+        with pytest.raises(ScenarioError, match=f"parse error at line {text.count(chr(10)) + 1}, "
+                                                "column 1: found duplicate key 'dose_response'$"):
+            load_scenario(path)
+        with pytest.raises(ScenarioError, match="^--set mc: not a YAML value: "):
+            cli._parse_set(["mc={samples: 100, samples: 200}"])
+
+    def test_unhashable_key_is_still_a_parse_error(self, loader, tmp_path):
+        path = tmp_path / "list-key.yaml"
+        path.write_text("name: x\n? [1]\n: 2\n", encoding="utf-8")
+        with pytest.raises(ScenarioError, match="found unhashable key"):
+            load_scenario(path)
+
     @pytest.mark.parametrize("text", MALFORMED,
                              ids=["mapping", "flow", "tab-indent", "control", "control-after-utf8",
                                   "control-in-comment"])
     def test_same_error_location(self, loader, text, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ScenarioError) as exc:
             load_scenario(path)
         assert _location(str(exc.value)) == MALFORMED[text]
         assert exc.value.field == ""
+        # Each place is named once: PyYAML's own text repeats it on lines of its own.
+        assert "\n" not in str(exc.value) and "<unicode string>" not in str(exc.value)
 
     def test_impossible_date_is_usage_error(self, loader, tmp_path, capsys):
         # The safe constructor raises a plain ValueError for a date-shaped scalar
@@ -340,7 +379,7 @@ class TestYamlLoader:
         path = tmp_path / "date.yaml"
         path.write_text(yaml.safe_dump(minimal(), sort_keys=False)
                         .replace("year: 2010", "year: 2010-13-45"), encoding="utf-8")
-        with pytest.raises(ParseError, match="parse error: month must be in 1..12"):
+        with pytest.raises(ScenarioError, match="parse error: month must be in 1..12"):
             load_scenario(path)
         assert cli.main(["report", str(path)]) == 2
         assert cli.main(["report", str(SYRIA), "--set", "name=2010-13-45"]) == 2
@@ -353,7 +392,7 @@ class TestYamlLoader:
         tag = '!!python/object/apply:os.system ["true"]'
         path = tmp_path / "tag.yaml"
         path.write_text(f"name: {tag}\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="constructor"):
+        with pytest.raises(ScenarioError, match="constructor"):
             load_scenario(path)
         assert cli.main(["report", str(path)]) == 2
         assert cli.main(["report", str(SYRIA), "--set", f"name={tag}"]) == 2
@@ -366,7 +405,7 @@ class TestYamlLoader:
         path.write_text(yaml.safe_dump(minimal(), sort_keys=False)
                         .replace("name: toy", "name:\ttoy"), encoding="utf-8")
         if issubclass(loader, yaml.reader.Reader):
-            with pytest.raises(ParseError) as exc:
+            with pytest.raises(ScenarioError) as exc:
                 load_scenario(path)
             assert _location(str(exc.value)) == "line 1, column 6"
         else:
@@ -595,7 +634,7 @@ class TestRunScenario:
             dose_response={"kind": "surface", "knots": [[0, 1.0], [2, 1.07], [4, 1.2]]},
             mc={"samples": 100},
         ))
-        with pytest.raises(ScenarioRuntimeError) as exc:
+        with pytest.raises(RuntimeError) as exc:
             run_scenario(cfg)
         assert isinstance(exc.value.__cause__, ArithmeticError)
         assert "odd_surface" in str(exc.value) and "paths disagree" in str(exc.value)
