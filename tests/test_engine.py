@@ -77,7 +77,7 @@ class TestDecompose:
         assert d.natural == 0.0
 
     def test_negative_total_rejected(self):
-        with pytest.raises(ValueError, match=r"^total anomaly must be >= 0 \(positive = adverse\)"):
+        with pytest.raises(ValueError, match=r"^total anomaly must be >= 0 \(positive"):
             decompose_anomaly(-0.5, DPRIME)
 
     def test_non_finite_total_rejected(self):
