@@ -36,10 +36,6 @@ FLAG_FIELDS = {"--seed": "mc.seed", "--samples": "mc.samples",
                "--beta": "dose_response.value", "--beta-sd": "dose_response.dispersion",
                "--dprime": "anthropogenic.value", "--dprime-sd": "anthropogenic.dispersion"}
 
-# Each line boundary of str.splitlines, as repr escapes it: an error is one line
-# on stderr, whatever a name or a key in its message holds.
-_ONE_LINE = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
-
 
 def _read(name: str, raw: str):
     """raw (from argv or the environment) read as one YAML value by the scenario
@@ -187,47 +183,37 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="attrisk",
-        description="Attribute excess outcome risk to the anthropogenic "
-                    "component of a climate anomaly.")
+    parser = argparse.ArgumentParser(prog="attrisk", description=(
+        "Attribute excess outcome risk to the anthropogenic component of a climate anomaly."))
     parser.add_argument("--version", action="version", version=f"attrisk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scenario_args(p, default_format):
+    # Parents share their actions: no set_defaults below may name a dest they declare.
+    mc = argparse.ArgumentParser(add_help=False)
+    mc.add_argument("--seed", help="random seed (fills mc.seed)")
+    mc.add_argument("--samples", help="Monte Carlo sample count (fills mc.samples)")
+    config = argparse.ArgumentParser(add_help=False, parents=[mc])
+    config.add_argument("--set", action="append", metavar="KEY=VALUE", default=[],
+                        help="override a config field by dotted path (repeatable)")
+
+    for name, fmt, summary in [("attribute", "human", "run a scenario and emit its report"),
+                               ("report", "json", "run a scenario, emit structured report")]:
+        p = sub.add_parser(name, parents=[config], help=summary)
         p.add_argument("scenario", help="path to a scenario YAML file")
-        p.add_argument("--format", choices=FORMATS, default=default_format)
-        p.add_argument("--out", default=None, help="write report to this path")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE", default=[],
-                       help="override a config field by dotted path (repeatable)")
-        p.add_argument("--seed")
-        p.add_argument("--samples")
+        p.add_argument("--format", choices=FORMATS, default=fmt,
+                       help="report format (default: %(default)s)")
+        p.add_argument("--out", help="write report to this path")
+        p.set_defaults(func=cmd_attribute)
 
-    p_attr = sub.add_parser("attribute", help="run a scenario and emit its report")
-    add_scenario_args(p_attr, "human")
-    p_attr.set_defaults(func=cmd_attribute)
+    p = sub.add_parser("propagate", parents=[mc], help="raw two-factor uncertainty propagation")
+    p.add_argument("--beta", required=True, help="dose-response coefficient, percent per sigma")
+    p.add_argument("--beta-sd", help="standard deviation of --beta (default 0)")
+    p.add_argument("--dprime", required=True, help="anthropogenic anomaly component, sigma")
+    p.add_argument("--dprime-sd", help="standard deviation of --dprime (default 0)")
+    p.set_defaults(func=cmd_propagate, scenario=os.path.join(SCENARIOS, "propagate.yaml"))
 
-    p_rep = sub.add_parser("report", help="run a scenario, emit structured report")
-    add_scenario_args(p_rep, "json")
-    p_rep.set_defaults(func=cmd_attribute)
-
-    p_prop = sub.add_parser("propagate", help="raw two-factor uncertainty propagation")
-    p_prop.add_argument("--beta", required=True,
-                        help="dose-response coefficient, percent per sigma")
-    p_prop.add_argument("--beta-sd")
-    p_prop.add_argument("--dprime", required=True,
-                        help="anthropogenic anomaly component, sigma")
-    p_prop.add_argument("--dprime-sd")
-    p_prop.add_argument("--seed")
-    p_prop.add_argument("--samples")
-    p_prop.set_defaults(func=cmd_propagate, scenario=os.path.join(SCENARIOS, "propagate.yaml"))
-
-    p_self = sub.add_parser("selftest", help="replay the bundled canonical scenario")
-    p_self.add_argument("--set", action="append", metavar="KEY=VALUE", default=[])
-    p_self.add_argument("--seed")
-    p_self.add_argument("--samples")
-    p_self.set_defaults(func=cmd_selftest, scenario=os.path.join(SCENARIOS, "syria_2010.yaml"))
-
+    p = sub.add_parser("selftest", parents=[config], help="replay the bundled canonical scenario")
+    p.set_defaults(func=cmd_selftest, scenario=os.path.join(SCENARIOS, "syria_2010.yaml"))
     return parser
 
 
@@ -243,7 +229,7 @@ def main(argv=None) -> int:
         print("error: interrupted", file=sys.stderr)
         return 130
     except Exception as exc:  # usage/config error (2) or runtime failure (1)
-        print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
+        print(f"error: {str(exc).translate(scenario._ONE_LINE)}", file=sys.stderr)
         return 2 if isinstance(exc, ScenarioError) else 1
 
 

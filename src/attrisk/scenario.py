@@ -56,6 +56,10 @@ EXCEEDANCE_FLAG_FRACTION = 0.01
 # 3.11); counts must fit in physical memory.
 _SAMPLE_BYTES, _BIN_BYTES = 8, 1024
 
+# Each line boundary of str.splitlines, as repr escapes it: a name or a key is
+# written on one line, in an error on stderr and in the human report alike.
+_ONE_LINE = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
 _INT, _FLOAT, _MERGE = (f"tag:yaml.org,2002:{t}" for t in ("int", "float", "merge"))
 
 
@@ -76,17 +80,24 @@ def _core_schema_loader(base):
     class Loader(base):
         yaml_implicit_resolvers = resolvers
 
-        def construct_mapping(self, node, deep=False):
-            # Only the scalar keys written here: a key merged in with << may
-            # still be overridden, and any other key is refused as unhashable.
-            keys = set()
-            for key_node, _ in node.value:
-                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE:
-                    if (key := self.construct_object(key_node)) in keys:
-                        raise yaml.constructor.ConstructorError(
-                            None, None, f"found duplicate key {key!r}", key_node.start_mark)
-                    keys.add(key)
-            return super().construct_mapping(node, deep)
+        def __init__(self, stream):
+            super().__init__(stream)
+            self.checked = set()  # the mapping nodes whose own keys were checked
+
+        def flatten_mapping(self, node):
+            # Only the scalar keys written in node, checked once, before << merges
+            # other entries into it in place: a merged key may still be overridden,
+            # and any other key is refused as unhashable.
+            if node not in self.checked:
+                self.checked.add(node)
+                keys = set()
+                for key_node, _ in node.value:
+                    if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE:
+                        if (key := self.construct_object(key_node)) in keys:
+                            raise yaml.constructor.ConstructorError(
+                                None, None, f"found duplicate key {key!r}", key_node.start_mark)
+                        keys.add(key)
+            super().flatten_mapping(node)
 
     Loader.add_constructor(_INT, lambda loader, node: int(loader.construct_scalar(node), 10))
     return Loader
@@ -487,7 +498,7 @@ def _emit_human(r: ReportBundle) -> str:
     s = r.distribution_summary
     a = r.attribution
     lines = [
-        f"Scenario: {r.scenario} ({r.year})",
+        f"Scenario: {r.scenario.translate(_ONE_LINE)} ({r.year})",
         (f"Point estimates: natural component: {a.natural_excess:.2f}%; "
          f"anthropogenic component: {a.anthropogenic_excess:.2f}% "
          f"(90% CI [{s.p05:.1f}, {s.p95:.1f}]); p = {r.p_value:.4f}"),

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import attrisk
-from attrisk import engine, scenario, uq
+from attrisk import cli, engine, scenario, uq
 from attrisk.cli import main
 from attrisk.engine import BETA_STREAM, DPRIME_STREAM
 from attrisk.uq import CHUNK_SIZE
@@ -235,6 +235,100 @@ class TestAttribute:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize("name", ["x\ny", "x\r\n\u2028\x85y"], ids=["newline", "breaks"])
+    def test_human_report_writes_the_name_on_one_line(self, capsys, name):
+        # A line break in the name is written escaped, as in an error line.
+        code, out, err = run(capsys, "attribute", SYRIA, "--samples", "100",
+                             "--set", f"name={json.dumps(name)}")
+        assert (code, err) == (0, "")
+        plain = run(capsys, "attribute", SYRIA, "--samples", "100")[1]
+        assert out.splitlines()[0] == f"Scenario: {repr(name)[1:-1]} (2010)"
+        assert len(out.splitlines()) == len(plain.splitlines())
+
+
+ATTRIBUTE = {"command": "attribute", "scenario": "s.yaml", "format": "human", "out": None,
+             "set": [], "seed": None, "samples": None, "func": cli.cmd_attribute}
+PROPAGATE = {"command": "propagate", "beta": "1", "beta_sd": None, "dprime": "2",
+             "dprime_sd": None, "seed": None, "samples": None, "func": cli.cmd_propagate,
+             "scenario": os.path.join(cli.SCENARIOS, "propagate.yaml")}
+SELFTEST = {"command": "selftest", "set": [], "seed": None, "samples": None,
+            "func": cli.cmd_selftest, "scenario": os.path.join(cli.SCENARIOS, "syria_2010.yaml")}
+GIVEN = ["--seed", "3", "--samples", "4"]
+#: Each command's parse at its defaults and with every flag given, as vars(args).
+PARSES = {
+    "attribute": (["attribute", "s.yaml"], ATTRIBUTE),
+    "attribute-flags": (["attribute", "s.yaml", "--format", "csv", "--out", "o.csv",
+                         "--set", "a=1", "--set", "b=2", *GIVEN],
+                        {**ATTRIBUTE, "format": "csv", "out": "o.csv", "set": ["a=1", "b=2"],
+                         "seed": "3", "samples": "4"}),
+    "report": (["report", "s.yaml"], {**ATTRIBUTE, "command": "report", "format": "json"}),
+    "report-flags": (["report", "s.yaml", "--format", "human", "--out", "o.txt",
+                      "--set", "a=1", *GIVEN],
+                     {**ATTRIBUTE, "command": "report", "out": "o.txt", "set": ["a=1"],
+                      "seed": "3", "samples": "4"}),
+    "propagate": (["propagate", "--beta", "1", "--dprime", "2"], PROPAGATE),
+    "propagate-flags": (["propagate", "--beta", "1", "--beta-sd", "0.5", "--dprime", "2",
+                         "--dprime-sd", "0.25", *GIVEN],
+                        {**PROPAGATE, "beta_sd": "0.5", "dprime_sd": "0.25",
+                         "seed": "3", "samples": "4"}),
+    "selftest": (["selftest"], SELFTEST),
+    "selftest-flags": (["selftest", "--set", "a=1", "--set", "b=2", *GIVEN],
+                       {**SELFTEST, "set": ["a=1", "b=2"], "seed": "3", "samples": "4"}),
+}
+#: The options each --help lists, by command ("" is attrisk itself).
+OPTIONS = {"": {"-h", "--help", "--version"},
+           **dict.fromkeys(["attribute", "report"], {"-h", "--help", "--seed", "--samples",
+                                                     "--set", "--format", "--out"}),
+           "propagate": {"-h", "--help", "--seed", "--samples", "--beta", "--beta-sd",
+                         "--dprime", "--dprime-sd"},
+           "selftest": {"-h", "--help", "--seed", "--samples", "--set"}}
+COMMAND_IDS = [command or "attrisk" for command in OPTIONS]
+
+
+def help_of(capsys, monkeypatch, command):
+    """The stdout of attrisk [command] --help, at a fixed terminal width."""
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, err = run(capsys, *command.split(), "--help")
+    assert (code, err) == (0, "") and out.startswith(f"usage: attrisk {command}".rstrip())
+    return out
+
+
+def option_helps(text):
+    """{option: [its help line, once per entry]} from a --help text's options."""
+    lines = text.split("\noptions:\n", 1)[1].splitlines()
+    helps = {}
+    for i, line in enumerate(lines):
+        if line.startswith("  -"):
+            invocation, _, help = line.strip().partition("  ")
+            if not help and i + 1 < len(lines) and lines[i + 1].startswith("   "):
+                help = lines[i + 1]  # the help under an invocation too wide beside it
+            for name in re.findall(r"(?:^|, )(-[-\w]+)", invocation):
+                helps.setdefault(name, []).append(help.strip())
+    return helps
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, expected", PARSES.values(), ids=PARSES)
+    def test_parse_result(self, argv, expected):
+        args = vars(cli.build_parser().parse_args(argv))
+        assert args == expected and args["func"] is expected["func"]
+
+    @pytest.mark.parametrize("command", OPTIONS, ids=COMMAND_IDS)
+    def test_help_names_each_option_once(self, capsys, monkeypatch, command):
+        helps = option_helps(help_of(capsys, monkeypatch, command))
+        assert set(helps) == OPTIONS[command]
+        assert all(len(lines) == 1 for lines in helps.values()), helps
+
+    @pytest.mark.parametrize("command", OPTIONS, ids=COMMAND_IDS)
+    def test_every_option_has_a_help_line(self, capsys, monkeypatch, command):
+        helps = option_helps(help_of(capsys, monkeypatch, command))
+        assert all(lines[0] for lines in helps.values()), helps
+
+    def test_a_shared_option_has_one_help_line(self, capsys, monkeypatch):
+        helps = [option_helps(help_of(capsys, monkeypatch, command)) for command in OPTIONS]
+        for option in ["--seed", "--samples", "--set"]:
+            assert len({tuple(h[option]) for h in helps if option in h}) == 1, option
 
 
 SURFACE_SET = "dose_response={kind: surface, knots: [[0, 1], [5, 1.2]]}"

@@ -324,7 +324,9 @@ class TestYamlLoader:
     @pytest.mark.parametrize("text, data", [
         ("a: &a {x: 1}\nb: &b {<<: *a, x: 2}\nc: {<<: *b, y: 3}\n", {"x": 2, "y": 3}),
         ("a: &a {x: 1}\nb: &b {x: 2}\nc: {<<: [*a, *b]}\n", {"x": 1}),
-    ], ids=["chained", "two-sources"])
+        # c's << merges b into the anchored a in place; d then constructs a.
+        ("b: &b {x: 1}\nc: {<<: &a {<<: *b, x: 2}}\nd: *a\n", {"x": 2}),
+    ], ids=["chained", "two-sources", "merge-source-aliased-again"])
     def test_merged_keys_keep_their_override_rule(self, loader, text, data):
         assert yaml.load(text, Loader=loader) == yaml.load(text, Loader=yaml.SafeLoader)
         assert list(yaml.load(text, Loader=loader).values())[-1] == data
@@ -335,7 +337,16 @@ class TestYamlLoader:
         ("a: 1\n01: 2\n1: 3\n", "line 3, column 1", "1"),
         # An alias is the node it names, so the place is that node's.
         ("&k a: 1\n*k : 2\n", "line 1, column 1", "'a'"),
-    ], ids=["block", "flow-quoted", "same-number", "alias"])
+        # In a merge source, whether or not it is also a value of its own.
+        ("b: &b {x: 1, x: 2}\nc: {<<: *b}\n", "line 1, column 14", "'x'"),
+        ("c: {<<: &a {x: 1, x: 2}}\nd: *a\n", "line 1, column 19", "'x'"),
+        ("b: &b {x: 1}\nc: {<<: &a {<<: *b, x: 2, x: 3}}\nd: *a\n", "line 2, column 27", "'x'"),
+        ("c: {<<: &a {x: 1, x: 2}}\n", "line 1, column 19", "'x'"),
+        ("c: {<<: [{x: 1, x: 2}]}\n", "line 1, column 17", "'x'"),
+        ("b: &b {x: 1}\nc: {<<: &a {<<: *b, x: 2, x: 3}}\n", "line 2, column 27", "'x'"),
+    ], ids=["block", "flow-quoted", "same-number", "alias", "merge-source", "merge-source-aliased",
+            "chained-merge-source-aliased", "merge-source-only", "merge-source-list-only",
+            "chained-merge-source-only"])
     def test_repeated_key_is_refused_where_it_repeats(self, loader, tmp_path, text, where, key):
         # YAML 1.2 (§3.2.1.1) requires unique keys, where PyYAML keeps the last.
         path = tmp_path / "twice.yaml"
