@@ -11,30 +11,21 @@ s = 1 (a point mass) and g(D') = 100 * (rr(D0 + D') - rr(D0)).
 ``integral_attribution`` gives the point estimates and ``propagate`` the
 distribution. ``propagate`` turns each Philox chunk of one n-array into s * D'
 in place as one ``uq.at_once`` task (the caller and one helper thread per
-further CPU take the tasks in turn), which keys its own draws and counts the
-D' draws above the total. Only a run of one chunk, whose task runs inline,
-draws s, if drawn, and D' as two tasks, side by side. A surface then sorts D'
-and adds D0 as it maps each chunk through whole pieces of the cubic; the
-distribution sorts again only what the map leaves out of order.
+further CPU take the tasks in turn), which keys its own draws, s if drawn and
+then D', and counts the D' draws above the total; a run of one chunk is one
+task, run on the calling thread. A surface then sorts D' and adds D0 as it maps
+each chunk through whole pieces of the cubic; the distribution sorts again
+only what the map leaves out of order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .uq import (
-    CHUNK_SIZE,
-    EmpiricalDistribution,
-    UncertainScalar,
-    at_once,
-    chunk_sampler,
-    map_chunks,
-    sort_in_place,
-)
+from .uq import EmpiricalDistribution, UncertainScalar, chunk_sampler, map_chunks, sort_in_place
 
 # Stream labels deriving the two independent input streams from one seed.
 BETA_STREAM = 1
@@ -200,30 +191,30 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
     """The anthropogenic excess risk s_i * g(D'_i) from n draws of D'
     (DPRIME_STREAM) and s (BETA_STREAM), and the fraction of D' draws above
     the total anomaly. Each chunk of one n-array is drawn, counted and
-    multiplied by s in place as one task: a drawn s into scratch, then D', in
-    line (a run of one chunk draws these as two tasks), a point mass as its
-    value. A surface's D' is then sorted and each chunk mapped in place, D0
-    added first (sort(D') + D0 has sort(D0 + D')'s bits), through whole pieces
-    of rr. The distribution takes the array over and sorts what is still out
-    of order: any product array, and an excess that a falling or turning
-    surface, draws past the knots, or rounding at a knot leave out of order."""
+    multiplied by s in place as one task, on one thread: a drawn s into
+    scratch, then D'; a point mass is its value. A surface's D' is then sorted
+    and each chunk mapped in place, D0 added first (sort(D') + D0 has
+    sort(D0 + D')'s bits), through whole pieces of rr. The distribution takes
+    the array over and sorts what is still out of order: any product array,
+    and an excess that a falling or turning surface, draws past the knots, or
+    rounding at a knot leave out of order."""
     out = np.empty(n)  # first: a count too large to allocate fails before any draw
     draw_dprime = chunk_sampler(decomp.anthropogenic, seed, DPRIME_STREAM)
     s, rr = response.beta or _UNIT, response.rr
     draw_s = chunk_sampler(s, seed, BETA_STREAM)
 
-    def draw(i: int, chunk: np.ndarray, both=lambda *draws: [d() for d in draws]) -> int:
+    def draw(i: int, chunk: np.ndarray) -> int:
         if s.dispersion:
             s_i = np.empty(chunk.size)
-            both(partial(draw_s, i, s_i), partial(draw_dprime, i, chunk))
+            draw_s(i, s_i)
         else:
             s_i = s.value
-            draw_dprime(i, chunk)
+        draw_dprime(i, chunk)
         above = np.count_nonzero(chunk > decomp.total)
         chunk *= s_i
         return above
 
-    above = sum(map_chunks(partial(draw, both=at_once) if n <= CHUNK_SIZE else draw, out))
+    above = sum(map_chunks(draw, out))
     if rr is not None:
         sort_in_place(out)
         rr0 = float(rr(decomp.natural))

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -563,40 +564,30 @@ class TestPropagationKernel:
 
     @pytest.mark.parametrize("n", [2, 17, CHUNK_SIZE, CHUNK_SIZE + 1])
     def test_where_each_stream_is_drawn(self, n, monkeypatch):
-        """One chunk: beta and D' on two threads at once, one of them the caller
-        (each draw waits for the other to start). More: each chunk's two draws,
-        beta first, on one thread."""
+        """At every size, each chunk's two draws, beta first, on one thread."""
         monkeypatch.setattr(uq, "_workers", 2)  # as on 2 CPUs, also where there is 1
-        threads, started = [], {BETA_STREAM: threading.Event(), DPRIME_STREAM: threading.Event()}
+        threads = []
 
         def recording(q, seed, label):
             draw = chunk_sampler(q, seed, label)
 
             def recorded(i, chunk):
                 threads.append((i, label, threading.get_ident()))
-                if n <= CHUNK_SIZE:
-                    started[label].set()
-                    other = BETA_STREAM + DPRIME_STREAM - label
-                    assert started[other].wait(30), "the other stream was not drawn at once"
+                if label == BETA_STREAM:
+                    time.sleep(0.05)  # were the pair split, another thread takes D' now
                 draw(i, chunk)
 
             return recorded
 
         monkeypatch.setattr(engine, "chunk_sampler", recording)
         self.run("linear", n)
-        if n <= CHUNK_SIZE:
-            by_label = {label: thread for _, label, thread in threads}
-            assert len(threads) == len(by_label) == 2
-            assert by_label[BETA_STREAM] != by_label[DPRIME_STREAM]
-            assert threading.get_ident() in by_label.values()
-        else:
-            by_chunk = {}
-            for i, label, thread in threads:
-                by_chunk.setdefault(i, []).append((label, thread))
-            assert sorted(by_chunk) == list(range(-(-n // CHUNK_SIZE)))
-            for (beta, one), (dprime, other) in by_chunk.values():
-                assert (beta, dprime) == (BETA_STREAM, DPRIME_STREAM)
-                assert one == other
+        by_chunk = {}
+        for i, label, thread in threads:
+            by_chunk.setdefault(i, []).append((label, thread))
+        assert sorted(by_chunk) == list(range(-(-n // CHUNK_SIZE)))
+        for (beta, one), (dprime, other) in by_chunk.values():
+            assert (beta, dprime) == (BETA_STREAM, DPRIME_STREAM)
+            assert one == other
         # The bytes at each of these sizes: test_pool_matches_serial_reference.
 
     @pytest.fixture
@@ -618,12 +609,10 @@ class TestPropagationKernel:
         assert len(starts) == 1
 
     @pytest.mark.parametrize("n", [2, CHUNK_SIZE])
-    @pytest.mark.parametrize("case, helpers", [
-        ("linear", 1), ("linear-point-beta", 0), ("surface", 0)])
-    def test_a_one_chunk_run_starts_a_helper_only_when_both_streams_are_drawn(
-            self, case, helpers, n, starts):
+    @pytest.mark.parametrize("case", ["linear", "linear-point-beta", "surface"])
+    def test_a_run_of_one_chunk_starts_no_helper(self, case, n, starts):
         self.run(case, n)
-        assert len(starts) == helpers
+        assert starts == []
 
     @pytest.mark.parametrize("total, dprime", [
         (2.0, 1.2), (2.0, 2.0), (2.0, -0.0), (0.0, 0.0), (1.0, -0.5)])

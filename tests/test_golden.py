@@ -94,8 +94,8 @@ def test_point_mass_report_bytes(name, override, digest, tmp_path):
     assert report_sha256(path, tmp_path, "json", "--set", override) == digest
 
 
-#: n = 20000 draws, one Philox chunk: a run of one chunk draws its two streams
-#: side by side (uq.at_once), where the cases above draw many chunks.
+#: n = 20000 draws, one Philox chunk: a run of one chunk is one task, on the
+#: calling thread, where the cases above draw many chunks.
 ONE_CHUNK_CASES = [
     ("syria_2010", (), "23ff30e8beb8637a59e94d0b1c4ef3a1b818f4714e56acef61730484913a14fb"),
     ("golden_surface", (), "dc71001ec60ce9023b9e05e8da60bf8da4a6cbbfb306a0542a59e4b9cf2d55b8"),
