@@ -13,11 +13,9 @@ from .uq import (  # noqa: E402,F401
     tail_probability,
 )
 from .engine import (  # noqa: E402,F401
-    AnomalyDecomposition,
     DoseResponse,
     RiskAttribution,
     analytic_product_moments,
-    decompose_anomaly,
     integral_attribution,
     propagate,
 )

@@ -9,13 +9,14 @@ mass. Every response is read as X = s·g(D'), a normal multiplier times a
 function of the one normal input: linear is s = beta, g(D') = D'; a surface is
 s = 1 (a point mass) and g(D') = 100 * (rr(D0 + D') - rr(D0)).
 ``integral_attribution`` gives the point estimates and ``propagate`` the
-distribution. ``propagate`` turns each Philox chunk of one n-array into s * D'
-in place as one ``uq.at_once`` task (the caller and one helper thread per
-further CPU take the tasks in turn), which keys its own draws, s if drawn and
-then D', and counts the D' draws above the total; a run of one chunk is one
-task, run on the calling thread. A surface then sorts D' and adds D0 as it maps
-each chunk through whole pieces of the cubic; the distribution sorts again
-only what the map leaves out of order.
+distribution, each from the total anomaly and D', whose split D0 = total -
+D'.value it checks and makes itself. ``propagate`` turns each Philox chunk of
+one n-array into s * D' in place as one ``uq.at_once`` task (the caller and
+one helper thread per further CPU take the tasks in turn), which keys its own
+draws, s if drawn and then D', and counts the D' draws above the total; a run
+of one chunk is one task, run on the calling thread. A surface then sorts D'
+and adds D0 as it maps each chunk through whole pieces of the cubic; the
+distribution sorts again only what the map leaves out of order.
 """
 
 from __future__ import annotations
@@ -32,29 +33,6 @@ BETA_STREAM = 1
 DPRIME_STREAM = 2
 
 _UNIT = UncertainScalar(1.0)  # a surface's s: a point mass, which keys no generator
-
-
-@dataclass(frozen=True)
-class AnomalyDecomposition:
-    """An anomaly (sigma units) split into natural and anthropogenic parts."""
-
-    total: float
-    anthropogenic: UncertainScalar
-    natural: float
-
-
-def decompose_anomaly(total: float, anthropogenic: UncertainScalar) -> AnomalyDecomposition:
-    """Split a total anomaly into natural = total - anthropogenic.value and D'.
-
-    An anthropogenic central value above the total is allowed: it leaves a
-    negative natural component, which a surface refuses and a linear response
-    scales, and the report states the share of D' draws above the total.
-    """
-    if not math.isfinite(total):
-        raise ValueError("total anomaly must be finite")
-    if total < 0:
-        raise ValueError(f"total anomaly must be >= 0 (positive = adverse), got {total}")
-    return AnomalyDecomposition(total, anthropogenic, total - anthropogenic.value)
 
 
 class Pchip:
@@ -163,13 +141,27 @@ class RiskAttribution:
     total_relative_risk: float
 
 
-def integral_attribution(response: DoseResponse, decomp: AnomalyDecomposition) -> RiskAttribution:
+def _natural(total: float, anthropogenic: UncertainScalar) -> float:
+    """D0 = total - anthropogenic.value, the natural part of a total anomaly
+    (sigma units) that must be finite and >= 0. An anthropogenic central value
+    above the total is allowed: it leaves a negative D0, which a surface
+    refuses and a linear response scales, and the report states the share of
+    D' draws above the total."""
+    if not math.isfinite(total):
+        raise ValueError("total anomaly must be finite")
+    if total < 0:
+        raise ValueError(f"total anomaly must be >= 0 (positive = adverse), got {total}")
+    return total - anthropogenic.value
+
+
+def integral_attribution(response: DoseResponse, total: float,
+                         anthropogenic: UncertainScalar) -> RiskAttribution:
     """Excess risk as s times g's rise over [0, D0] and [D0, D0+D']: beta * D0
     and beta * D' for a linear response (a negative D0 is allowed), and for a
     surface 100 times rr(D0) - rr(0) and rr(D0+D') - rr(D0), where D0 >= 0 and
     D0+D' is at most the last knot.
     """
-    natural, anthropogenic = decomp.natural, decomp.anthropogenic.value
+    natural, anthropogenic = _natural(total, anthropogenic), anthropogenic.value
     if response.rr is not None:
         d_total = natural + anthropogenic
         last = response.knots[-1][0]
@@ -186,8 +178,8 @@ def integral_attribution(response: DoseResponse, decomp: AnomalyDecomposition) -
     return RiskAttribution(natural, anthropogenic, 1.0 + (natural + anthropogenic) / 100.0)
 
 
-def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
-              n: int) -> tuple[EmpiricalDistribution, float]:
+def propagate(response: DoseResponse, total: float, anthropogenic: UncertainScalar,
+              seed: int, n: int) -> tuple[EmpiricalDistribution, float]:
     """The anthropogenic excess risk s_i * g(D'_i) from n draws of D'
     (DPRIME_STREAM) and s (BETA_STREAM), and the fraction of D' draws above
     the total anomaly. Each chunk of one n-array is drawn, counted and
@@ -198,8 +190,9 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
     the array over and sorts what is still out of order: any product array,
     and an excess that a falling or turning surface, draws past the knots, or
     rounding at a knot leave out of order."""
-    out = np.empty(n)  # first: a count too large to allocate fails before any draw
-    draw_dprime = chunk_sampler(decomp.anthropogenic, seed, DPRIME_STREAM)
+    d0 = _natural(total, anthropogenic)
+    out = np.empty(n)  # next: a count too large to allocate fails before any draw
+    draw_dprime = chunk_sampler(anthropogenic, seed, DPRIME_STREAM)
     s, rr = response.beta or _UNIT, response.rr
     draw_s = chunk_sampler(s, seed, BETA_STREAM)
 
@@ -210,17 +203,17 @@ def propagate(response: DoseResponse, decomp: AnomalyDecomposition, seed: int,
         else:
             s_i = s.value
         draw_dprime(i, chunk)
-        above = np.count_nonzero(chunk > decomp.total)
+        above = np.count_nonzero(chunk > total)
         chunk *= s_i
         return above
 
     above = sum(map_chunks(draw, out))
     if rr is not None:
         sort_in_place(out)
-        rr0 = float(rr(decomp.natural))
+        rr0 = float(rr(d0))
 
         def excess(i: int, chunk: np.ndarray) -> None:
-            chunk += decomp.natural
+            chunk += d0
             # Mapped in halves, map_sorted's scratch is one chunk per thread.
             half = -(-chunk.size // 2)
             rr.map_sorted(chunk[:half])

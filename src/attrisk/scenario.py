@@ -11,6 +11,7 @@ significant digits, written in one pass from each number's ``%.12g`` text.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -25,7 +26,6 @@ from . import __version__
 from .engine import (
     DoseResponse,
     RiskAttribution,
-    decompose_anomaly,
     integral_attribution,
     propagate,
 )
@@ -53,7 +53,7 @@ EXCEEDANCE_FLAG_FRACTION = 0.01
 # in place; chunk scratch is O(workers * CHUNK_SIZE)) and per histogram bin
 # (its tuple of Python numbers and its report text: peak RSS of a run and
 # emit grew ~730 B per bin in JSON, ~630 in CSV, at 1e6 bins on CPython
-# 3.11); counts must fit in physical memory.
+# 3.11); counts must fit in physical memory and the cgroup's memory limit.
 _SAMPLE_BYTES, _BIN_BYTES = 8, 1024
 
 # Each line boundary of str.splitlines, as repr escapes it: a name or a key is
@@ -238,12 +238,50 @@ def _physical_memory() -> int | None:
     return status.total_phys
 
 
+def _text(path: str) -> str:
+    """A small text file's contents, or "" where it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError):
+        return ""
+
+
+@functools.cache
+def _cgroup_memory(root: str = "/") -> tuple[int, str] | None:
+    """The smallest memory limit on this process's cgroup (as /proc/self/cgroup
+    names it) or an ancestor, and the file that sets it: v2 ``memory.max``
+    under /sys/fs/cgroup or v1 ``memory.limit_in_bytes`` under its memory
+    directory, both read under root. "max" and v1's 9223372036854771712 are no
+    limit; None where none is set. Read once per process."""
+    limits = []
+    for line in _text(os.path.join(root, "proc/self/cgroup")).splitlines():
+        controllers, _, path = line.partition(":")[2].partition(":")  # ID:controllers:path
+        v1 = "memory" in controllers.split(",")
+        if controllers and not v1:
+            continue
+        base, name = ("memory", "memory.limit_in_bytes") if v1 else ("", "memory.max")
+        # A container may mount its own cgroup as the root: each level up to it.
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts) + 1):
+            file = os.path.join(root, "sys/fs/cgroup", base, *parts[:depth], name)
+            text = _text(file).strip()
+            if text.isdigit() and int(text) < 9223372036854771712:
+                limits.append((int(text), file))
+    return min(limits, default=None)
+
+
 def _check_fits(count: int, item_bytes: int, path: str):
-    need, have = count * item_bytes, _physical_memory()
-    # Where memory cannot be read, a count too large fails when its array is allocated.
-    if have is not None and need > have:
+    need, physical, cgroup = count * item_bytes, _physical_memory(), _cgroup_memory()
+    # The smaller bound is the one an error names. Where neither can be read,
+    # a count too large fails when its array is allocated.
+    bounds = [(physical, "of physical memory")] if physical is not None else []
+    if cgroup is not None:
+        bounds.append((cgroup[0], f"limit of {cgroup[1]}"))
+    have, what = min(bounds, default=(math.inf, ""))
+    if need > have:
         raise ScenarioError(f"{path}: {count} needs {need / 2**30:.3g} GiB of arrays, "
-                            f"more than the {have / 2**30:.3g} GiB of physical memory", path)
+                            f"more than the {have / 2**30:.3g} GiB {what}", path)
 
 
 def _dose_response(mapping, path) -> DoseResponse:
@@ -406,9 +444,10 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
         # A value that leaves the float range is refused below (or, among the
         # samples, by the distribution), so numpy need not warn on the way.
         with np.errstate(over="ignore", invalid="ignore"):
-            decomp = decompose_anomaly(cfg.anomaly_total, cfg.anthropogenic)
-            attribution = integral_attribution(cfg.dose_response, decomp)
-            dist, exceedance = propagate(cfg.dose_response, decomp, cfg.seed, cfg.samples)
+            attribution = integral_attribution(cfg.dose_response, cfg.anomaly_total,
+                                               cfg.anthropogenic)
+            dist, exceedance = propagate(cfg.dose_response, cfg.anomaly_total,
+                                         cfg.anthropogenic, cfg.seed, cfg.samples)
             summary = summarize(dist)
             p_value = tail_probability(dist, cfg.null_threshold)
             hist = tuple(histogram(dist, cfg.histogram_bins))

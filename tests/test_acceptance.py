@@ -13,7 +13,6 @@ import pytest
 import attrisk
 from attrisk.engine import (
     analytic_product_moments,
-    decompose_anomaly,
     integral_attribution,
     propagate,
 )
@@ -43,8 +42,7 @@ def syria_cfg():
 
 @pytest.fixture(scope="module")
 def syria_dist(syria_cfg):
-    decomp = decompose_anomaly(syria_cfg.anomaly_total, DPRIME)
-    return propagate(LINEAR, decomp, syria_cfg.seed, syria_cfg.samples)[0]
+    return propagate(LINEAR, syria_cfg.anomaly_total, DPRIME, syria_cfg.seed, syria_cfg.samples)[0]
 
 
 def ok(name, detail):
@@ -52,15 +50,13 @@ def ok(name, detail):
 
 
 def test_criterion_1_natural_point_estimate():
-    decomp = decompose_anomaly(2.48, DPRIME)
-    attr = integral_attribution(LINEAR, decomp)
+    attr = integral_attribution(LINEAR, 2.48, DPRIME)
     assert abs(attr.natural_excess - 4.96) <= 0.06
     ok("criterion 1 natural point estimate", f"{attr.natural_excess:.4f} = 4.96 ± 0.06")
 
 
 def test_criterion_2_anthropogenic_point_estimate():
-    decomp = decompose_anomaly(2.48, DPRIME)
-    attr = integral_attribution(LINEAR, decomp)
+    attr = integral_attribution(LINEAR, 2.48, DPRIME)
     assert abs(attr.anthropogenic_excess - 3.82) <= 0.03
     ok("criterion 2 anthropogenic point estimate",
        f"{attr.anthropogenic_excess:.4f} = 3.82 ± 0.03")
@@ -103,17 +99,15 @@ def test_criterion_6_analytic_mc_agreement(syria_dist):
 
 
 def test_criterion_7_linearization_equivalence():
-    decomp = decompose_anomaly(2.48, DPRIME)
     linear_surface = DoseResponse(knots=[(d, 1 + 0.0354 * d) for d in range(4)])
-    got = integral_attribution(linear_surface, decomp)
-    want = integral_attribution(LINEAR, decomp)
+    got = integral_attribution(linear_surface, 2.48, DPRIME)
+    want = integral_attribution(LINEAR, 2.48, DPRIME)
     assert got.natural_excess == pytest.approx(want.natural_excess, rel=1e-9)
     assert got.anthropogenic_excess == pytest.approx(want.anthropogenic_excess, rel=1e-9)
 
     quad_surface = DoseResponse(
         knots=[(d, 1 + 0.01 * d ** 2) for d in np.arange(0, 3.01, 0.5)])
-    quad_decomp = decompose_anomaly(2.0, UncertainScalar(1.0))
-    attr = integral_attribution(quad_surface, quad_decomp)
+    attr = integral_attribution(quad_surface, 2.0, UncertainScalar(1.0))
     assert attr.natural_excess == pytest.approx(1.0, rel=1e-8)
     assert attr.anthropogenic_excess == pytest.approx(3.0, rel=1e-8)
     ok("criterion 7 linearization equivalence",
@@ -164,9 +158,9 @@ def test_criterion_9_property_suites():
         beta = UncertainScalar(rng.uniform(-5, 5), rng.uniform(0.01, 3))
         dprime = UncertainScalar(rng.uniform(-2, 2), rng.uniform(0.01, 1))
         scaled_beta = UncertainScalar(k * beta.value, k * beta.dispersion)
-        decomp = decompose_anomaly(max(dprime.value, 0.0), dprime)
-        base = propagate(DoseResponse(beta=beta), decomp, i, 128)[0]
-        scaled = propagate(DoseResponse(beta=scaled_beta), decomp, i, 128)[0]
+        total = max(dprime.value, 0.0)
+        base = propagate(DoseResponse(beta=beta), total, dprime, i, 128)[0]
+        scaled = propagate(DoseResponse(beta=scaled_beta), total, dprime, i, 128)[0]
         assert np.array_equal(scaled.samples / k, base.samples)
     ok("criterion 9 property suites",
        f"{cases} randomized cases: percentile monotonicity, summary ordering, "

@@ -581,7 +581,7 @@ class TestOnePipeline:
 class TestRuntimeFailure:
     def test_quadrature_disagreement_is_runtime_error(self, capsys, monkeypatch,
                                                       surface_scenario):
-        def disagree(response, decomp):
+        def disagree(*args):
             raise ArithmeticError("quadrature and antiderivative-difference paths disagree")
 
         monkeypatch.setattr(scenario, "integral_attribution", disagree)

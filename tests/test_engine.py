@@ -15,7 +15,6 @@ from attrisk.engine import (
     DPRIME_STREAM,
     DoseResponse,
     analytic_product_moments,
-    decompose_anomaly,
     integral_attribution,
     Pchip,
     propagate,
@@ -63,67 +62,70 @@ def integrate_adaptive(f, a: float, b: float, breakpoints=()) -> float:
     return total
 
 
-class TestDecompose:
-    def test_syria_split(self):
-        d = decompose_anomaly(2.48, DPRIME)
-        assert d.natural == pytest.approx(1.40)
-        assert d.anthropogenic.value == 1.08
-
-    def test_no_anthropogenic_component(self):
-        d = decompose_anomaly(2.48, UncertainScalar(0.0))
-        assert d.natural == 2.48
-
-    def test_fully_anthropogenic(self):
-        d = decompose_anomaly(1.0, UncertainScalar(1.0))
-        assert d.natural == 0.0
-
-    def test_negative_total_rejected(self):
-        with pytest.raises(ValueError, match=r"^total anomaly must be >= 0 \(positive"):
-            decompose_anomaly(-0.5, DPRIME)
-
-    def test_non_finite_total_rejected(self):
-        with pytest.raises(ValueError, match="^total anomaly must be finite$"):
-            decompose_anomaly(math.nan, UncertainScalar(1.0))
-
-
 def linear(beta: float) -> DoseResponse:
     return DoseResponse(beta=UncertainScalar(beta))
 
 
+class TestTotalAnomaly:
+    """Both engine calls take the total anomaly and D' and split them
+    themselves, D0 = total - D'.value, refusing a total that is not a finite
+    number >= 0 before anything is allocated or drawn. (The split itself:
+    TestIntegralAttribution.test_linear_response_is_beta_times_each_component.)"""
+
+    @pytest.fixture
+    def no_numpy(self, monkeypatch):
+        """engine's numpy, failing on any use: nothing may be allocated."""
+        class Unused:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} reached before the total was checked")
+
+        monkeypatch.setattr(engine, "np", Unused())
+
+    @pytest.mark.parametrize("total, message", [
+        (math.nan, "^total anomaly must be finite$"),
+        (math.inf, "^total anomaly must be finite$"),
+        (-math.inf, "^total anomaly must be finite$"),
+        (-0.5, r"^total anomaly must be >= 0 \(positive = adverse\), got -0.5$")],
+        ids=["nan", "inf", "-inf", "negative"])
+    @pytest.mark.parametrize("response", [LINEAR, DoseResponse(knots=[(0, 1), (3, 1.3)])],
+                             ids=["linear", "surface"])
+    @pytest.mark.parametrize("call", [
+        lambda response, total: integral_attribution(response, total, DPRIME),
+        lambda response, total: propagate(response, total, DPRIME, SEED, 10 ** 15)],
+        ids=["integral_attribution", "propagate"])
+    def test_bad_total_is_refused_first(self, call, response, total, message, no_numpy):
+        with pytest.raises(ValueError, match=message):
+            call(response, total)
+
+
 def product(beta, dprime, seed, n):
     """The distribution of beta * D', from a total anomaly no less than D'."""
-    decomp = decompose_anomaly(max(dprime.value, 0.0), dprime)
-    return propagate(DoseResponse(beta=beta), decomp, seed, n)[0]
+    return propagate(DoseResponse(beta=beta), max(dprime.value, 0.0), dprime, seed, n)[0]
 
 
 class TestLinearAttribution:
     def test_syria_point_estimates(self):
-        decomp = decompose_anomaly(2.48, DPRIME)
-        attr = integral_attribution(LINEAR, decomp)
+        attr = integral_attribution(LINEAR, 2.48, DPRIME)
         assert attr.natural_excess == pytest.approx(4.956)
         assert attr.anthropogenic_excess == pytest.approx(3.8232)
         assert attr.total_relative_risk == pytest.approx(1 + 3.54 * 2.48 / 100)
 
     def test_zero_sensitivity(self):
-        decomp = decompose_anomaly(2.48, DPRIME)
-        attr = integral_attribution(linear(0.0), decomp)
+        attr = integral_attribution(linear(0.0), 2.48, DPRIME)
         assert (attr.natural_excess, attr.anthropogenic_excess) == (0.0, 0.0)
         assert attr.total_relative_risk == 1.0
 
     def test_temperature_coefficient_illustrative(self):
-        decomp = decompose_anomaly(1.0, UncertainScalar(0.0))
-        attr = integral_attribution(linear(11.33), decomp)
+        attr = integral_attribution(linear(11.33), 1.0, UncertainScalar(0.0))
         assert attr.natural_excess == 11.33
 
     def test_relative_risk_identity(self):
-        decomp = decompose_anomaly(2.48, DPRIME)
-        attr = integral_attribution(LINEAR, decomp)
+        attr = integral_attribution(LINEAR, 2.48, DPRIME)
         expected = 1 + (attr.natural_excess + attr.anthropogenic_excess) / 100
         assert attr.total_relative_risk == pytest.approx(expected, rel=1e-15)
 
     def test_decomposition_additivity(self):
-        decomp = decompose_anomaly(2.48, DPRIME)
-        attr = integral_attribution(LINEAR, decomp)
+        attr = integral_attribution(LINEAR, 2.48, DPRIME)
         assert attr.natural_excess + attr.anthropogenic_excess == \
             pytest.approx(3.54 * 2.48, rel=1e-12)
 
@@ -175,16 +177,14 @@ class TestDoseResponse:
 class TestIntegralAttribution:
     def test_linear_surface_reduces_to_linear_form(self):
         surface = DoseResponse(knots=[(d, 1 + 0.0354 * d) for d in range(4)])
-        decomp = decompose_anomaly(2.48, DPRIME)
-        got = integral_attribution(surface, decomp)
-        want = integral_attribution(LINEAR, decomp)
+        got = integral_attribution(surface, 2.48, DPRIME)
+        want = integral_attribution(LINEAR, 2.48, DPRIME)
         assert got.natural_excess == pytest.approx(want.natural_excess, rel=1e-9)
         assert got.anthropogenic_excess == pytest.approx(want.anthropogenic_excess, rel=1e-9)
 
     def test_flat_surface(self):
         surface = DoseResponse(knots=[(0, 1.0), (1, 1.0), (3, 1.0)])
-        decomp = decompose_anomaly(2.0, UncertainScalar(1.0))
-        attr = integral_attribution(surface, decomp)
+        attr = integral_attribution(surface, 2.0, UncertainScalar(1.0))
         assert (attr.natural_excess, attr.anthropogenic_excess) == (0.0, 0.0)
         assert attr.total_relative_risk == 1.0
 
@@ -192,27 +192,26 @@ class TestIntegralAttribution:
         # integral of d/dD (1 + 0.01 D^2) = 0.02 D over [0,1] and [1,2]
         knots = [(d, 1 + 0.01 * d ** 2) for d in np.arange(0, 3.01, 0.5)]
         surface = DoseResponse(knots=knots)
-        decomp = decompose_anomaly(2.0, UncertainScalar(1.0))
-        attr = integral_attribution(surface, decomp)
+        attr = integral_attribution(surface, 2.0, UncertainScalar(1.0))
         assert attr.natural_excess == pytest.approx(1.0, rel=1e-8)
         assert attr.anthropogenic_excess == pytest.approx(3.0, rel=1e-8)
 
     def test_domain_coverage(self):
         surface = DoseResponse(knots=[(0, 1.0), (1, 1.05)])
-        decomp = decompose_anomaly(2.0, UncertainScalar(1.0))
         with pytest.raises(ValueError, match="^anomaly 2.0 exceeds the last surface knot at D=1"):
-            integral_attribution(surface, decomp)
+            integral_attribution(surface, 2.0, UncertainScalar(1.0))
 
     @pytest.mark.parametrize("total, dprime", [(2.48, DPRIME), (2.0, UncertainScalar(0.0)),
+                                               (1.0, UncertainScalar(1.0)),
                                                (0.3, UncertainScalar(1.2, 0.4))],
-                             ids=["syria", "natural-only", "negative-natural"])
+                             ids=["syria", "natural-only", "anthropogenic-only",
+                                  "negative-natural"])
     @pytest.mark.parametrize("beta", [BETA, UncertainScalar(-0.7), UncertainScalar(11.33, 2)],
                              ids=["syria", "protective", "temperature"])
     def test_linear_response_is_beta_times_each_component(self, beta, total, dprime):
         # A negative natural component still has its beta * D0.
-        decomp = decompose_anomaly(total, dprime)
-        attr = integral_attribution(DoseResponse(beta=beta), decomp)
-        natural = beta.value * decomp.natural
+        attr = integral_attribution(DoseResponse(beta=beta), total, dprime)
+        natural = beta.value * (total - dprime.value)
         anthropogenic = beta.value * dprime.value
         assert (attr.natural_excess, attr.anthropogenic_excess) == (natural, anthropogenic)
         assert attr.total_relative_risk == 1.0 + (natural + anthropogenic) / 100.0
@@ -223,8 +222,7 @@ class TestIntegralAttribution:
         surface = DoseResponse(knots=[(0, 1), (0.890827323040865, 1),
                                       (1.78165464608173, 1.1730171374637992),
                                       (2.672481969122595, 1.1730171374637992)])
-        decomp = decompose_anomaly(2.5318607043073036, UncertainScalar(0.1))
-        attr = integral_attribution(surface, decomp)
+        attr = integral_attribution(surface, 2.5318607043073036, UncertainScalar(0.1))
         assert attr.natural_excess == pytest.approx(17.30171374637992, rel=1e-12)
         assert attr.anthropogenic_excess == 0.0
 
@@ -242,12 +240,12 @@ class TestIntegralAttribution:
         surface = DoseResponse(knots=knots)
         last = knots[-1][0]
         total = total_at * last
-        decomp = decompose_anomaly(total, UncertainScalar(dprime_at * total))
-        d0 = decomp.natural
-        d_total = d0 + decomp.anthropogenic.value
+        dprime = dprime_at * total
+        d0 = total - dprime
+        d_total = d0 + dprime
         assume(d_total <= last)
 
-        attr = integral_attribution(surface, decomp)
+        attr = integral_attribution(surface, total, UncertainScalar(dprime))
         # The oracle integrates scipy's slope, not one derived from engine.Pchip.
         with np.errstate(over="ignore"):  # scipy warns where a slope is subnormal
             slope = scipy_interpolate.PchipInterpolator(*np.array(knots).T).derivative()
@@ -350,8 +348,7 @@ class TestPropagation:
         assert abs(d.variance - var) < 10 * var / math.sqrt(d.sample_count)
 
     def test_exceedance_fraction_matches_propagation_draws(self):
-        frac = propagate(DoseResponse(beta=BETA), decompose_anomaly(2.48, DPRIME),
-                         SEED, 1_000_000)[1]
+        frac = propagate(DoseResponse(beta=BETA), 2.48, DPRIME, SEED, 1_000_000)[1]
         # P(N(1.08, 0.37) > 2.48) = 1 - Phi(1.4/0.37) ~ 7.7e-5
         oracle = 0.5 * math.erfc((2.48 - 1.08) / 0.37 / math.sqrt(2))
         assert abs(frac - oracle) < 5e-4
@@ -436,7 +433,7 @@ class TestPropagationKernel:
 
     def run(self, case, n):
         response, dprime = KERNEL_CASES[case]
-        return propagate(response, decompose_anomaly(KERNEL_TOTAL, dprime), SEED, n)
+        return propagate(response, KERNEL_TOTAL, dprime, SEED, n)
 
     # A surface run of POOL_SORT_MIN + 17 sorts its D' as two tasks before the map.
     @pytest.mark.parametrize("case, n", [
@@ -549,14 +546,14 @@ class TestPropagationKernel:
         first, second = mapped[:CHUNK_SIZE], mapped[CHUNK_SIZE:]
         assert np.all(first[:-1] <= first[1:]) and np.all(second[:-1] <= second[1:])
         assert first[-1] > second[0]
-        dist, _ = propagate(response, decompose_anomaly(KERNEL_TOTAL, dprime), SEED, n)
+        dist, _ = propagate(response, KERNEL_TOTAL, dprime, SEED, n)
         # The first window holds the join.
         assert finalized == [False]
         assert np.array_equal(dist.samples, serial_propagation(response, dprime, n)[0])
 
     def test_rising_surface_is_not_sorted_again(self, finalized):
         # D0 + D' ~ N(2, 0.3) stays inside the knots [0, 5] at this seed and n.
-        dist, _ = propagate(SURFACE, decompose_anomaly(KERNEL_TOTAL, UncertainScalar(1.2, 0.3)),
+        dist, _ = propagate(SURFACE, KERNEL_TOTAL, UncertainScalar(1.2, 0.3),
                             SEED, 5 * CHUNK_SIZE + 17)
         assert finalized == [True] * 6
         expected, _ = serial_propagation(SURFACE, UncertainScalar(1.2, 0.3), dist.sample_count)
@@ -624,9 +621,9 @@ class TestPropagationKernel:
         response = KERNEL_CASES[case][0]
         if response.beta is not None:
             response = DoseResponse(beta=UncertainScalar(response.beta.value))
-        decomp = decompose_anomaly(total, UncertainScalar(dprime))
-        point = integral_attribution(response, decomp).anthropogenic_excess
-        dist, _ = propagate(response, decomp, SEED, 17)
+        dprime = UncertainScalar(dprime)
+        point = integral_attribution(response, total, dprime).anthropogenic_excess
+        dist, _ = propagate(response, total, dprime, SEED, 17)
         assert dist.samples.tobytes() == np.full(17, point).tobytes()
 
     @pytest.mark.parametrize("case", KERNEL_CASES)

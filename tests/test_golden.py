@@ -1,8 +1,10 @@
 """Byte-exact guard on the reports of fixed scenarios at default settings.
 
-The report bytes follow from (config, seed, n) and from numpy's Generator
-stream, which NEP 19 does not fix across numpy versions, so the digests are
-checked only on the numpy release they were recorded with.
+The report bytes follow from (config, seed, n) and from numpy: its Philox
+Generator stream, which NEP 19 does not fix across numpy versions, and the
+reductions a report uses. So the digests run wherever numpy's fingerprints
+are the ones they were recorded with, whatever its version, and skip
+elsewhere, naming the numpy version and the fingerprint that differs.
 """
 
 import hashlib
@@ -16,9 +18,64 @@ from attrisk.cli import main
 
 SCENARIOS = Path(attrisk.__file__).parent / "scenarios"
 
-pytestmark = pytest.mark.skipif(
-    not np.__version__.startswith("2.4."),
-    reason=f"golden digests were recorded on numpy 2.4.x, found {np.__version__}")
+#: The SHA-256 fingerprints of numpy that the digests below were recorded
+#: with (numpy 2.4.6): each is one of the values listed. np.sort's order of
+#: mixed signed zeros follows the SIMD sort numpy picks for the CPU; every
+#: digest passed under each of the three x86-64 orders listed (AVX-512, AVX2
+#: and neither).
+FINGERPRINTS = {
+    "stream 1": {"ceb6f620dae0d48448e76527271f4845a5a2641d66e723cca587dd83b851a32b"},
+    "stream 2": {"4d6fa3cc155c60414ef418d69826dd885dfc1b51a99739647e44b55fc562e96e"},
+    "mean": {"7da4c9f5221515d005aaf82e0fad23136e5d05ae434cfbdd805a105b4e3211b2"},
+    "signed-zero sort": {"d0b2b72996b301b96571c986c96a207b94c510e3edb8464478a734d3b5b6b7ac",
+                         "77e2dd9b87773316687711682ff70e855c1c03b6a89841501f5ea7d942692c25",
+                         "17314454b07f090a9e6abb9a78cd8839b5e7a6cce65787e671474e2cdece0769"},
+}
+
+
+def fingerprints() -> dict[str, str]:
+    """SHA-256 of the first 4,096 standard normals of the Philox chunk
+    (label, 0) of seed 0, for both stream labels, drawn with numpy directly
+    (so a keying bug in attrisk fails the digests, where it would skip them
+    through attrisk's own sampler); of the mean of a fixed array; and of
+    np.sort's order of mixed +0.0 and -0.0."""
+    prints = {}
+    for label in (1, 2):  # BETA_STREAM and DPRIME_STREAM, as recorded
+        seeds = np.random.SeedSequence(0, spawn_key=(label, 0))
+        normals = np.random.Generator(np.random.Philox(seeds)).standard_normal(4096)
+        prints[f"stream {label}"] = hashlib.sha256(normals.tobytes()).hexdigest()
+    i = np.arange(100_003)
+    mean = ((i % 97 - 48) / 7.0 ** (i % 5)).mean()
+    prints["mean"] = hashlib.sha256(mean.tobytes()).hexdigest()
+    zeros = np.sort(np.resize([0.0, -0.0, -0.0, 1.0, 0.0, -1.0, -0.0], 4099))
+    prints["signed-zero sort"] = hashlib.sha256(np.signbit(zeros).tobytes()).hexdigest()
+    return prints
+
+
+def stream_mismatch() -> str | None:
+    """Why the digests cannot run on this numpy, or None if they can."""
+    differ = [name for name, value in fingerprints().items() if value not in FINGERPRINTS[name]]
+    if differ:
+        return (f"golden digests were recorded on another numpy stream: numpy {np.__version__}, "
+                f"differing fingerprint: {', '.join(differ)}")
+    return None
+
+
+SKIP = stream_mismatch()
+recorded_stream = pytest.mark.skipif(SKIP is not None, reason=str(SKIP))
+
+
+def test_a_changed_stream_skips_the_digests(monkeypatch):
+    class Negated(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            return -super().standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Negated)
+    reason = stream_mismatch()
+    assert reason is not None
+    assert f"numpy {np.__version__}" in reason
+    assert reason.endswith("differing fingerprint: stream 1, stream 2")
+
 
 # Several Philox chunks, a sample count that is not a multiple of the chunk
 # size, and ~5.5% of D' draws above the total, so the exceedance is non-zero.
@@ -63,6 +120,7 @@ CASES = [
 ]
 
 
+@recorded_stream
 @pytest.mark.parametrize("name, fmt, digest", [
     pytest.param(name, fmt, digest,
                  id=f"{name}-{digest}" if fmt == "json" else f"{name}-{fmt}-{digest}")
@@ -71,6 +129,7 @@ def test_bundled_report_bytes(name, fmt, digest, tmp_path):
     assert report_sha256(scenario_path(name, tmp_path), tmp_path, fmt) == digest
 
 
+@recorded_stream
 def test_surface_report_bytes(tmp_path):
     digest = "af3154d1503af7be6490a83b45b282f81b10f4dfab3f2ced903701d34ac990c2"
     assert report_sha256(scenario_path("golden_surface", tmp_path), tmp_path) == digest
@@ -87,6 +146,7 @@ POINT_MASS_CASES = [
 ]
 
 
+@recorded_stream
 @pytest.mark.parametrize("name, override, digest", POINT_MASS_CASES,
                          ids=[f"{name}-{override}" for name, override, _ in POINT_MASS_CASES])
 def test_point_mass_report_bytes(name, override, digest, tmp_path):
@@ -104,6 +164,7 @@ ONE_CHUNK_CASES = [
 ]
 
 
+@recorded_stream
 @pytest.mark.parametrize("name, extra, digest", ONE_CHUNK_CASES,
                          ids=["-".join((name, *extra[1:])) for name, extra, _ in ONE_CHUNK_CASES])
 def test_one_chunk_report_bytes(name, extra, digest, tmp_path):
@@ -126,6 +187,7 @@ PROPAGATE_CASES = [
 ]
 
 
+@recorded_stream
 @pytest.mark.parametrize("flags, digest", [pytest.param(flags, digest, id=name)
                                            for name, flags, digest in PROPAGATE_CASES])
 def test_propagate_stdout(flags, digest, capsys, monkeypatch):
@@ -134,6 +196,7 @@ def test_propagate_stdout(flags, digest, capsys, monkeypatch):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@recorded_stream
 def test_selftest_stdout(capsys, monkeypatch):
     # Every check's name, value and target text, at the default seed and n.
     digest = "598f24b51f3fcf82e0ab10f236f3da2689d3404d84e57e47c7393f6c67112cfd"

@@ -1,18 +1,24 @@
-"""Randomized property suites (each >= 200 cases)."""
+"""Randomized property suites (each >= 200 cases, but for the exact-answer
+suite's 100 runs of up to 6e5 samples)."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from attrisk.engine import DoseResponse, analytic_product_moments, decompose_anomaly, propagate
+from attrisk.engine import DoseResponse, analytic_product_moments, propagate
 from attrisk.uq import (
+    CHUNK_SIZE,
+    POOL_SORT_MIN,
+    SUMMARY_LEVELS,
     BoxWhiskerSummary,
     EmpiricalDistribution,
     UncertainScalar,
     histogram,
     percentile,
     summarize,
+    tail_probability,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
@@ -26,8 +32,7 @@ def dist(values):
 
 def product(beta, dprime, seed, n):
     """The distribution of beta * D', from a total anomaly no less than D'."""
-    decomp = decompose_anomaly(max(dprime.value, 0.0), dprime)
-    return propagate(DoseResponse(beta=beta), decomp, seed, n)[0]
+    return propagate(DoseResponse(beta=beta), max(dprime.value, 0.0), dprime, seed, n)[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -100,3 +105,63 @@ def test_mc_moments_match_analytic_oracle(av, asd, bv, bsd, seed):
     d = product(a, b, seed, n)
     assert abs(d.mean - mean) < 5 * math.sqrt(var / n)
     assert abs(d.variance - var) < 10 * var / math.sqrt(n)
+
+
+#: Standard errors a Monte Carlo statistic may lie from the exact answer, in
+#: level space, as in the benchmark's oracle.
+K_SE = 6.0
+
+
+def exact_product_cdf(t: float, beta: UncertainScalar, dprime: UncertainScalar) -> float:
+    """P(beta * D' <= t) for independent normals: the benchmark oracle's
+    P(beta <= t / D' | D') (its complement where D' < 0) with scipy's ndtr,
+    integrated over z = (D' - mean) / sd by scipy's adaptive quadrature, split
+    where the integrand turns fast."""
+    special = pytest.importorskip("scipy.special")
+    integrate = pytest.importorskip("scipy.integrate")
+    b, sb, d, sd = beta.value, beta.dispersion, dprime.value, dprime.dispersion
+
+    def weighted(z: float) -> float:
+        x = d + sd * z
+        if x == 0:
+            given = float(t >= 0)
+        else:
+            w = (t / x - b) / sb
+            given = float(special.ndtr(w if x > 0 else -w))
+        return given * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+
+    # Split where beta's z-score at t / D' is an integer in [-8, 8], and where
+    # |D'| is |t| times a power of 4: the product's density is unbounded at 0
+    # where both inputs have mass near 0, so a quantile near 0 turns the
+    # integrand over many scales of D'. At t = 0 the integrand jumps at D' = 0.
+    cuts = [t / (b + k * sb) for k in range(-8, 9) if b + k * sb]
+    cuts += [s * abs(t) * 4.0 ** k for s in (-1, 1) for k in range(-5, 30)] if t else [0.0]
+    splits = sorted({z for z in ((x - d) / sd for x in cuts) if -12 < z < 12})
+    # full_output returns quad's error estimate in place of its warnings.
+    value, error, *_ = integrate.quad(weighted, -12.0, 12.0, points=splits or None, limit=500,
+                                      epsabs=1e-10, epsrel=1e-9, full_output=1)
+    assert error < 1e-7  # the narrowest band is K_SE * sqrt(0.005 * 0.995 / 6e5) = 5.5e-4
+    return value
+
+
+def exact_product_p(beta: UncertainScalar, dprime: UncertainScalar) -> float:
+    """P(beta * D' <= 0) in closed form."""
+    special = pytest.importorskip("scipy.special")
+    rb, rd = beta.value / beta.dispersion, dprime.value / dprime.dispersion
+    return float(special.ndtr(-rb) * special.ndtr(rd) + special.ndtr(rb) * special.ndtr(-rd))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-100, 100), st.floats(0.01, 100), st.floats(-100, 100), st.floats(0.01, 100),
+       st.integers(0, 2 ** 64 - 1), st.sampled_from([20_000, 600_000]))
+def test_linear_distribution_matches_exact_answer(bv, bs, dv, ds, seed, n):
+    """Each summary quantile of a run sits where the exact CDF reads its level,
+    and the p-value near the closed form, within K_SE standard errors."""
+    assert n <= CHUNK_SIZE or n >= POOL_SORT_MIN  # one chunk inline, or the pooled sort
+    beta, dprime = UncertainScalar(bv, bs), UncertainScalar(dv, ds)
+    d = product(beta, dprime, seed, n)
+    for name, q in SUMMARY_LEVELS.items():
+        level = exact_product_cdf(percentile(d, q), beta, dprime)
+        assert abs(level - q) <= K_SE * math.sqrt(q * (1 - q) / n), (name, level)
+    p = exact_product_p(beta, dprime)
+    assert abs(tail_probability(d, 0.0) - p) <= K_SE * math.sqrt(p * (1 - p) / n) + 3 / n

@@ -451,11 +451,44 @@ class TestMemoryBound:
             parse(1001)
         assert exc.value.field == f"{block}.{key}"
 
-    # As on Windows: no os.sysconf, and ctypes.windll as given (a kernel32 whose
-    # GlobalMemoryStatusEx reports physical_memory bytes, or none at all).
+    @pytest.mark.parametrize("block, key, item_bytes", FIELDS)
+    def test_bound_is_the_smaller_limit_and_named(self, monkeypatch, block, key, item_bytes):
+        limit = 1000 * getattr(scenario, item_bytes)
+        small = {"mc": {"samples": 2}, "report": {"histogram_bins": 1}}
+
+        def parse(count):
+            return parse_scenario(minimal(**{**small, block: {key: count}}))
+
+        for physical, cgroup, named in [
+                (2 * limit, limit, "GiB limit of /sys/fs/cgroup/memory.max"),
+                (limit, 2 * limit, "GiB of physical memory"),
+                (None, limit, "GiB limit of /sys/fs/cgroup/memory.max")]:
+            monkeypatch.setattr(scenario, "_physical_memory", lambda: physical)
+            monkeypatch.setattr(scenario, "_cgroup_memory",
+                                lambda: (cgroup, "/sys/fs/cgroup/memory.max"))
+            parse(1000)
+            with pytest.raises(ScenarioError) as exc:
+                parse(1001)
+            assert exc.value.field == f"{block}.{key}"
+            assert str(exc.value).endswith(named)
+
+    def test_a_load_reads_no_cgroup_file(self, monkeypatch):
+        scenario._cgroup_memory()  # the first call in a process reads the files
+
+        def refused(*args, **kwargs):
+            raise AssertionError(f"opened {args[0]}")
+
+        monkeypatch.setattr(scenario, "open", refused, raising=False)
+        parse_scenario(minimal())
+
+    # As on Windows: no os.sysconf, no /proc, and ctypes.windll as given (a
+    # kernel32 whose GlobalMemoryStatusEx reports physical_memory bytes, or
+    # none at all).
     WINDOWS_CHILD = textwrap.dedent("""\
         import ctypes, os, sys, types
+        from attrisk import scenario
         del os.sysconf
+        scenario._cgroup_memory = lambda: None
         ctypes.__dict__.pop("windll", None)
         physical_memory = {physical_memory}
 
@@ -537,6 +570,66 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
         assert peak / bins <= scenario._BIN_BYTES
+
+
+class TestCgroupMemory:
+    """The memory limit of the process's own cgroup, read under a root the
+    test lays out as /proc and /sys/fs/cgroup would be."""
+
+    @staticmethod
+    def root(tmp_path, cgroup, **files):
+        (tmp_path / "proc/self").mkdir(parents=True)
+        (tmp_path / "proc/self/cgroup").write_text(cgroup)
+        for name, text in files.items():
+            path = tmp_path / "sys/fs/cgroup" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        return str(tmp_path)
+
+    def limit(self, root, name):
+        return os.path.join(root, "sys/fs/cgroup", name)
+
+    def test_v2_memory_max(self, tmp_path):
+        root = self.root(tmp_path, "0::/user.slice/app\n",
+                         **{"user.slice/app/memory.max": "1073741824\n"})
+        assert scenario._cgroup_memory(root) == (
+            2 ** 30, self.limit(root, "user.slice/app/memory.max"))
+
+    def test_v1_memory_limit_in_bytes(self, tmp_path):
+        # As in a hybrid layout: the v2 line holds no memory controller.
+        root = self.root(tmp_path, "5:cpu,cpuacct:/\n4:memory:/jobs/a\n0::/\n",
+                         **{"memory/jobs/a/memory.limit_in_bytes": "536870912\n",
+                            "memory/memory.limit_in_bytes": "9223372036854771712\n"})
+        assert scenario._cgroup_memory(root) == (
+            2 ** 29, self.limit(root, "memory/jobs/a/memory.limit_in_bytes"))
+
+    @pytest.mark.parametrize("cgroup, files", [
+        ("0::/a\n", {"a/memory.max": "max\n"}),
+        ("4:memory:/a\n", {"memory/a/memory.limit_in_bytes": "9223372036854771712\n"}),
+        ("4:memory:/a\n", {}),
+        ("4:cpu:/a\n", {"memory/a/memory.limit_in_bytes": "1024\n"}),
+    ], ids=["v2-max", "v1-unlimited", "no-file", "no-memory-controller"])
+    def test_no_limit(self, tmp_path, cgroup, files):
+        assert scenario._cgroup_memory(self.root(tmp_path, cgroup, **files)) is None
+
+    def test_no_proc(self, tmp_path):
+        assert scenario._cgroup_memory(str(tmp_path)) is None
+
+    def test_the_smallest_limit_up_to_the_mounted_root(self, tmp_path):
+        # A container that mounts its own cgroup as /sys/fs/cgroup sees a
+        # path in /proc/self/cgroup that does not exist under the mount.
+        root = self.root(tmp_path, "0::/docker/abc\n", **{"memory.max": "4096\n"})
+        assert scenario._cgroup_memory(root) == (4096, self.limit(root, "memory.max"))
+        # A parent's limit binds its children too.
+        root = self.root(tmp_path / "nested", "0::/a/b\n",
+                         **{"a/memory.max": "4096\n", "a/b/memory.max": "8192\n"})
+        assert scenario._cgroup_memory(root) == (4096, self.limit(root, "a/memory.max"))
+
+    def test_read_once_per_process(self, tmp_path):
+        root = self.root(tmp_path, "0::/\n", **{"memory.max": "4096\n"})
+        assert scenario._cgroup_memory(root)[0] == 4096
+        (tmp_path / "sys/fs/cgroup/memory.max").write_text("8192\n")
+        assert scenario._cgroup_memory(root)[0] == 4096
 
 
 class TestDigest:
@@ -636,7 +729,7 @@ class TestRunScenario:
             run_scenario(parse_scenario(minimal(mc={"samples": 100})))
 
     def test_runtime_failures_are_not_config_errors(self, monkeypatch):
-        def disagree(response, decomp):
+        def disagree(*args):
             raise ArithmeticError("paths disagree")
 
         monkeypatch.setattr(scenario, "integral_attribution", disagree)
