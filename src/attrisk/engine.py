@@ -15,8 +15,9 @@ one n-array into s * D' in place as one ``uq.at_once`` task (the caller and
 one helper thread per further CPU take the tasks in turn), which keys its own
 draws, s if drawn and then D', and counts the D' draws above the total; a run
 of one chunk is one task, run on the calling thread. A surface then sorts D'
-and adds D0 as it maps each chunk through whole pieces of the cubic; the
-distribution sorts again only what the map leaves out of order.
+and, on the calling thread, adds D0 as it maps each chunk in turn through
+whole pieces of the cubic, so helper threads serve only the draws and the
+sort; the distribution sorts again only what the map leaves out of order.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .uq import EmpiricalDistribution, UncertainScalar, chunk_sampler, map_chunks, sort_in_place
+from .uq import (CHUNK_SIZE, EmpiricalDistribution, UncertainScalar, chunk_sampler, map_chunks,
+                 sort_in_place)
 
 # Stream labels deriving the two independent input streams from one seed.
 BETA_STREAM = 1
@@ -185,11 +187,11 @@ def propagate(response: DoseResponse, total: float, anthropogenic: UncertainScal
     the total anomaly. Each chunk of one n-array is drawn, counted and
     multiplied by s in place as one task, on one thread: a drawn s into
     scratch, then D'; a point mass is its value. A surface's D' is then sorted
-    and each chunk mapped in place, D0 added first (sort(D') + D0 has
-    sort(D0 + D')'s bits), through whole pieces of rr. The distribution takes
-    the array over and sorts what is still out of order: any product array,
-    and an excess that a falling or turning surface, draws past the knots, or
-    rounding at a knot leave out of order."""
+    and each chunk in turn mapped in place on the calling thread, D0 added
+    first (sort(D') + D0 has sort(D0 + D')'s bits), through whole pieces of
+    rr. The distribution takes the array over and sorts what is still out of
+    order: any product array, and an excess that a falling or turning
+    surface, draws past the knots, or rounding at a knot leave out of order."""
     d0 = _natural(total, anthropogenic)
     out = np.empty(n)  # next: a count too large to allocate fails before any draw
     draw_dprime = chunk_sampler(anthropogenic, seed, DPRIME_STREAM)
@@ -211,17 +213,12 @@ def propagate(response: DoseResponse, total: float, anthropogenic: UncertainScal
     if rr is not None:
         sort_in_place(out)
         rr0 = float(rr(d0))
-
-        def excess(i: int, chunk: np.ndarray) -> None:
+        for lo in range(0, n, CHUNK_SIZE):
+            chunk = out[lo:lo + CHUNK_SIZE]
             chunk += d0
-            # Mapped in halves, map_sorted's scratch is one chunk per thread.
-            half = -(-chunk.size // 2)
-            rr.map_sorted(chunk[:half])
-            rr.map_sorted(chunk[half:])
+            rr.map_sorted(chunk)
             chunk -= rr0
             chunk *= 100.0
-
-        map_chunks(excess, out)
     return EmpiricalDistribution(out), above / n
 
 

@@ -6,11 +6,11 @@ Generator(Philox(SeedSequence(seed, spawn_key=(label, i)))). So each draw is a
 pure function of (seed, label, its index), and distinct labels are independent
 streams: the label is part of the key, not an offset. Every parallel job goes
 through ``at_once(*tasks)``: the caller and one helper thread per further CPU
-take the tasks in turn. ``map_chunks`` runs each chunk's work (draw, then
-finish in place) as one task, which keys its own chunk on the thread that
-fills it; the result is bit-identical to doing the chunks one after another,
-and the first n draws do not depend on how many more are requested later. A
-quantity of dispersion 0 is a point mass and draws nothing.
+take the tasks in turn. ``map_chunks`` runs each chunk's work (its draws,
+and what is made of them in place) as one task, which keys its own chunk on
+the thread that fills it; the result is bit-identical to doing the chunks one
+after another, and the first n draws do not depend on how many more are
+requested later. A quantity of dispersion 0 is a point mass and draws nothing.
 
 ``EmpiricalDistribution(samples)`` takes over its float64 array without a copy: it
 sorts it in place with ``sort_in_place`` unless it is non-decreasing (a large one as

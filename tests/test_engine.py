@@ -600,9 +600,11 @@ class TestPropagationKernel:
         monkeypatch.setattr(threading.Thread, "start", counted)
         return started
 
-    def test_a_run_of_many_chunks_starts_one_helper(self, starts):
-        # Three chunk tasks on two workers: no task starts helpers of its own.
-        self.run("linear", 2 * CHUNK_SIZE + 1)
+    @pytest.mark.parametrize("case", ["linear", "surface"])
+    def test_a_run_of_many_chunks_starts_one_helper(self, case, starts):
+        # Three chunk tasks on two workers: no task starts helpers of its own,
+        # and a surface maps its sorted draws on the calling thread.
+        self.run(case, 2 * CHUNK_SIZE + 1)
         assert len(starts) == 1
 
     @pytest.mark.parametrize("n", [2, CHUNK_SIZE])

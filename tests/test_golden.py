@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import attrisk
+from attrisk import engine
 from attrisk.cli import main
 
 SCENARIOS = Path(attrisk.__file__).parent / "scenarios"
@@ -133,6 +134,23 @@ def test_bundled_report_bytes(name, fmt, digest, tmp_path):
 def test_surface_report_bytes(tmp_path):
     digest = "af3154d1503af7be6490a83b45b282f81b10f4dfab3f2ced903701d34ac990c2"
     assert report_sha256(scenario_path("golden_surface", tmp_path), tmp_path) == digest
+
+
+@recorded_stream
+def test_a_changed_chunk_key_fails_the_digests(monkeypatch, tmp_path):
+    """The gate draws its fingerprints with numpy directly, so a keying bug in
+    attrisk (here chunk i keyed as (label, i + 1)) leaves it open and fails the
+    digests, where gating through attrisk's own sampler would skip them."""
+    key = engine.chunk_sampler
+
+    def shifted(q, seed, label):
+        draw = key(q, seed, label)
+        return lambda i, chunk: draw(i + 1, chunk)
+
+    monkeypatch.setattr(engine, "chunk_sampler", shifted)
+    assert stream_mismatch() is None
+    digest = next(d for name, fmt, d in CASES if (name, fmt) == ("golden_surface", "csv"))
+    assert report_sha256(scenario_path("golden_surface", tmp_path), tmp_path, "csv") != digest
 
 
 #: A point mass on either input, by its dispersion set to 0.

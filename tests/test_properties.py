@@ -1,5 +1,5 @@
 """Randomized property suites (each >= 200 cases, but for the exact-answer
-suite's 100 runs of up to 6e5 samples)."""
+suites' 100 runs each of up to 6e5 samples)."""
 
 import math
 
@@ -151,17 +151,62 @@ def exact_product_p(beta: UncertainScalar, dprime: UncertainScalar) -> float:
     return float(special.ndtr(-rb) * special.ndtr(rd) + special.ndtr(rb) * special.ndtr(-rd))
 
 
+def run_sizes():
+    """A run size for each path a run takes: one chunk on the calling thread,
+    many chunks with the serial sort, and many chunks with the pooled sort."""
+    one_chunk, serial_sort, pooled_sort = 20_000, 200_000, 600_000
+    assert one_chunk <= CHUNK_SIZE < serial_sort < POOL_SORT_MIN <= pooled_sort
+    return st.sampled_from([one_chunk, serial_sort, pooled_sort])
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(-100, 100), st.floats(0.01, 100), st.floats(-100, 100), st.floats(0.01, 100),
-       st.integers(0, 2 ** 64 - 1), st.sampled_from([20_000, 600_000]))
+       st.integers(0, 2 ** 64 - 1), run_sizes())
 def test_linear_distribution_matches_exact_answer(bv, bs, dv, ds, seed, n):
     """Each summary quantile of a run sits where the exact CDF reads its level,
     and the p-value near the closed form, within K_SE standard errors."""
-    assert n <= CHUNK_SIZE or n >= POOL_SORT_MIN  # one chunk inline, or the pooled sort
     beta, dprime = UncertainScalar(bv, bs), UncertainScalar(dv, ds)
     d = product(beta, dprime, seed, n)
     for name, q in SUMMARY_LEVELS.items():
         level = exact_product_cdf(percentile(d, q), beta, dprime)
         assert abs(level - q) <= K_SE * math.sqrt(q * (1 - q) / n), (name, level)
     p = exact_product_p(beta, dprime)
+    assert abs(tail_probability(d, 0.0) - p) <= K_SE * math.sqrt(p * (1 - p) / n) + 3 / n
+
+
+@st.composite
+def rising_surfaces(draw):
+    """A strictly rising knot table from (0, 1) that covers total ± 9 sd, its
+    interior knots within total ± 2 sd (so every piece holds draws), and a
+    D' = N(value, sd) whose D0 = total - value lies inside the knots."""
+    sd = draw(st.floats(0.01, 10))
+    total = 9 * sd + draw(st.floats(0, 10))
+    tenths = sorted(draw(st.lists(st.integers(-20, 20), min_size=1, max_size=4, unique=True)))
+    last = total + 9 * sd + draw(st.floats(0, 10))
+    ds = [0.0] + [total + sd * k / 10 for k in tenths] + [last]
+    rises = draw(st.lists(st.floats(0.01, 5), min_size=len(ds) - 1, max_size=len(ds) - 1))
+    rrs = np.cumsum([1.0] + rises)
+    d0 = draw(st.floats(0, 1)) * last
+    return list(zip(ds, rrs.tolist())), total, UncertainScalar(total - d0, sd)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rising_surfaces(), st.integers(0, 2 ** 64 - 1), run_sizes())
+def test_surface_distribution_matches_exact_answer(surface, seed, n):
+    """The excess 100 * (R(D0 + D') - R(D0)) rises with D', so its exact
+    quantile at level q is 100 * (R(total + sd * Phi^-1(q)) - R(D0)): the share
+    of samples at or below it lies within K_SE standard errors of q at each
+    summary level, and p = P(D' <= 0) near Phi(-value / sd). R is scipy's
+    PCHIP, an oracle independent of attrisk's Pchip."""
+    special = pytest.importorskip("scipy.special")
+    interpolate = pytest.importorskip("scipy.interpolate")
+    knots, total, dprime = surface
+    d = propagate(DoseResponse(knots=knots), total, dprime, seed, n)[0]
+    rr = interpolate.PchipInterpolator(*zip(*knots))
+    rr0 = float(rr(total - dprime.value))
+    for name, q in SUMMARY_LEVELS.items():
+        exact = 100.0 * (float(rr(total + dprime.dispersion * special.ndtri(q))) - rr0)
+        level = tail_probability(d, exact)
+        assert abs(level - q) <= K_SE * math.sqrt(q * (1 - q) / n), (name, level)
+    p = float(special.ndtr(-dprime.value / dprime.dispersion))
     assert abs(tail_probability(d, 0.0) - p) <= K_SE * math.sqrt(p * (1 - p) / n) + 3 / n
